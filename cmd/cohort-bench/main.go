@@ -81,14 +81,6 @@ func run(args []string, stdout io.Writer, clk obs.Clock) error {
 	o.GA.Pop, o.GA.Generations = *pop, *gens
 	o.Jobs = cu.Jobs
 	o.GA.Workers = cu.Jobs
-	// Like the worker count, the oracle batch width and the curve oracle
-	// change only the cost of a run, never its results — both are excluded
-	// from benchConfigKey so scalar, batched and curve runs of one
-	// configuration share a key and cohort-report can diff them. The tier-2
-	// surrogate does change results and joins the key when enabled.
-	o.GA.OracleBatch = cu.Batch
-	o.GA.OracleCurve = cu.Curve
-	o.GA.Surrogate = cu.Surrogate
 	if *benches != "" {
 		o.Benchmarks = strings.Split(*benches, ",")
 	}
@@ -322,8 +314,6 @@ func run(args []string, stdout io.Writer, clk obs.Clock) error {
 		man.Traces = refs
 		man.Seed = int64(*seed)
 		man.Workers = parallel.DefaultWorkers(cu.Jobs)
-		man.OracleBatch = cu.Batch
-		man.Curve = cu.Curve
 		man.Engine = &engine
 		man.Metrics = o.Metrics.Snapshot()
 		man.Finish(clk)
@@ -388,10 +378,5 @@ func benchConfigKey(selected []string, bench string, o *experiments.Options) str
 	g := o.GA
 	k.Int(g.Pop).Int(g.Generations).Int(g.Elite).Int(g.TournamentK)
 	k.Float64(g.CrossoverProb).Float64(g.MutationProb).Uint64(g.Seed)
-	// Surrogate-off keys must stay byte-stable (the perf-smoke fingerprints
-	// are built on them), so tier 2 joins the key only when enabled.
-	if g.Surrogate {
-		k.Bool(true).Float64(g.SurrogateMargin)
-	}
 	return hex.EncodeToString([]byte(k.Sum()))
 }

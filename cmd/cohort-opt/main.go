@@ -99,9 +99,6 @@ func main() {
 	gc := cohort.DefaultGA(*gaSd)
 	gc.Pop, gc.Generations = *pop, *gens
 	gc.Workers = cu.Jobs
-	gc.OracleBatch = cu.Batch
-	gc.OracleCurve = cu.Curve
-	gc.Surrogate = cu.Surrogate
 
 	var man *obs.Manifest
 	if cu.OutDir != "" {
@@ -111,7 +108,7 @@ func main() {
 		gc.Recorder = obs.NewRecorder()
 	}
 
-	// Live observability: the GA publishes generation progress and memo/lane
+	// Live observability: the GA publishes generation progress and memo/replay
 	// counters to the tracker handle; the debug server pull-samples them.
 	// None of it feeds the canonical result or manifest.
 	tracker := obs.NewRunTracker(clk)
@@ -136,9 +133,7 @@ func main() {
 
 	if man != nil {
 		// The config key covers every parameter that determines the Result —
-		// and not Workers, OracleBatch or OracleCurve, which by contract do
-		// not. The tier-2 surrogate does and joins the key when enabled (and
-		// only then, so surrogate-off keys stay byte-stable).
+		// and not Workers, which by contract does not.
 		k := parallel.NewKey("cohort-opt/config")
 		k.Str(experiments.Fingerprint(tr)).Int(*cores)
 		for _, b := range timedMask {
@@ -150,15 +145,10 @@ func main() {
 		}
 		k.Int(gc.Pop).Int(gc.Generations).Int(gc.Elite).Int(gc.TournamentK)
 		k.Float64(gc.CrossoverProb).Float64(gc.MutationProb).Uint64(gc.Seed)
-		if gc.Surrogate {
-			k.Bool(true).Float64(gc.SurrogateMargin)
-		}
 		man.ConfigKey = hex.EncodeToString([]byte(k.Sum()))
 		man.Traces = []obs.TraceRef{{Name: tr.Name, Fingerprint: experiments.Fingerprint(tr)}}
 		man.Seed = int64(*seed)
 		man.Workers = parallel.DefaultWorkers(cu.Jobs)
-		man.OracleBatch = cu.Batch
-		man.Curve = cu.Curve
 		engine := res.Engine
 		man.Engine = &engine
 		man.Metrics = gc.Metrics.Snapshot()

@@ -55,8 +55,6 @@ type Group struct {
 // RunRow summarizes one manifest.
 type RunRow struct {
 	Workers     int                `json:"workers"`
-	OracleBatch int                `json:"oracle_batch,omitempty"`
-	Curve       bool               `json:"curve,omitempty"`
 	Seed        int64              `json:"seed"`
 	StartedAt   string             `json:"started_at"`
 	WallSeconds float64            `json:"wall_seconds"`
@@ -78,8 +76,6 @@ type TrajectoryEntry struct {
 	Tool        string             `json:"tool"`
 	ConfigKey   string             `json:"config_key"`
 	Workers     int                `json:"workers"`
-	OracleBatch int                `json:"oracle_batch,omitempty"`
-	Curve       bool               `json:"curve,omitempty"`
 	NumCPU      int                `json:"num_cpu,omitempty"`
 	GoMaxProcs  int                `json:"gomaxprocs,omitempty"`
 	StartedAt   string             `json:"started_at"`
@@ -224,8 +220,6 @@ func merge(ms []*obs.Manifest) *Report {
 			}
 			g.Runs = append(g.Runs, RunRow{
 				Workers:     m.Workers,
-				OracleBatch: m.OracleBatch,
-				Curve:       m.Curve,
 				Seed:        m.Seed,
 				StartedAt:   m.StartedAt,
 				WallSeconds: m.WallSeconds,
@@ -247,7 +241,7 @@ func render(w io.Writer, rep *Report, md bool) {
 	for _, g := range rep.Groups {
 		t := stats.NewTable(
 			fmt.Sprintf("%s @ %s", g.Tool, obs.ShortKey(g.ConfigKey)),
-			"workers", "batch", "curve", "seed", "started", "wall s", "engine jobs", "hits", "misses", "metrics")
+			"workers", "seed", "started", "wall s", "engine jobs", "hits", "misses", "metrics")
 		for _, r := range g.Runs {
 			jobs, hits, misses := "-", "-", "-"
 			if r.Engine != nil {
@@ -255,15 +249,7 @@ func render(w io.Writer, rep *Report, md bool) {
 				hits = fmt.Sprintf("%d", r.Engine.CacheHits)
 				misses = fmt.Sprintf("%d", r.Engine.CacheMisses)
 			}
-			batch := "-" // scalar oracle
-			if r.OracleBatch > 1 {
-				batch = fmt.Sprintf("%d", r.OracleBatch)
-			}
-			curve := "-"
-			if r.Curve {
-				curve = "yes"
-			}
-			t.AddRow(fmt.Sprintf("%d", r.Workers), batch, curve, fmt.Sprintf("%d", r.Seed), r.StartedAt,
+			t.AddRow(fmt.Sprintf("%d", r.Workers), fmt.Sprintf("%d", r.Seed), r.StartedAt,
 				fmt.Sprintf("%.2f", r.WallSeconds), jobs, hits, misses, fmt.Sprintf("%d", r.Metrics))
 		}
 		if md {
@@ -314,8 +300,7 @@ func pct(part, total int64) string {
 
 // appendTrajectory appends one entry per manifest to the perf-trajectory
 // file, creating it when absent. Exact duplicates (same tool, key, workers,
-// oracle batch, start time) are dropped so re-running the report is
-// idempotent.
+// start time) are dropped so re-running the report is idempotent.
 func appendTrajectory(path string, ms []*obs.Manifest) error {
 	traj := &Trajectory{Schema: TrajectorySchema}
 	if b, err := os.ReadFile(path); err == nil {
@@ -337,8 +322,6 @@ func appendTrajectory(path string, ms []*obs.Manifest) error {
 			Tool:        m.Tool,
 			ConfigKey:   m.ConfigKey,
 			Workers:     m.Workers,
-			OracleBatch: m.OracleBatch,
-			Curve:       m.Curve,
 			StartedAt:   m.StartedAt,
 			WallSeconds: m.WallSeconds,
 			Engine:      m.Engine,
@@ -392,7 +375,7 @@ func loadTrajectory(path string) (*Trajectory, error) {
 // runSpeedup renders the wall-time ratio between two perf-trajectory files:
 // entries are grouped by (tool, config key), each group is reduced to its
 // best (minimum) wall time per file — the trajectory holds runs at several
-// worker counts and oracle settings, and the best run is what a perf change
+// worker counts, and the best run is what a perf change
 // is judged by — and matching groups get a base/new speedup column. Groups
 // present in only one file render with '-' so a config drift is visible
 // rather than silently dropped.
@@ -461,5 +444,5 @@ func runSpeedup(arg string, w io.Writer, md bool) error {
 }
 
 func trajID(e TrajectoryEntry) string {
-	return fmt.Sprintf("%s\x00%s\x00%d\x00%d\x00%v\x00%s", e.Tool, e.ConfigKey, e.Workers, e.OracleBatch, e.Curve, e.StartedAt)
+	return fmt.Sprintf("%s\x00%s\x00%d\x00%s", e.Tool, e.ConfigKey, e.Workers, e.StartedAt)
 }

@@ -202,12 +202,11 @@ func SaturationTimer(s trace.Stream, geom config.CacheGeometry, lat config.Laten
 	})
 }
 
-// saturationSweep is the sweep's decision sequence, shared by every oracle
-// backend (scalar here, the hit curve in curve.go; the batched sweep in
-// batch.go replicates it over a prefilled grid): probe TimerMax for the
+// saturationSweep is the sweep's decision sequence, shared by the scalar
+// sweep here and RegimeSet.SaturationTimer: probe TimerMax for the
 // saturation reference, early-return at θ = 1, double to bracket, then
 // binary-search the smallest saturating θ in (lo, hi]. Sharing the exact
-// probe order is what makes θ_is bit-identical across backends.
+// probe order is what makes θ_is bit-identical across both.
 func saturationSweep(eval func(config.Timer) int64) (config.Timer, int64) {
 	maxHits := eval(config.TimerMax)
 	if maxHits == eval(1) {

@@ -1,7 +1,5 @@
 // Package cliutil unifies the flag surface and runtime plumbing the cohort
-// CLIs share: the worker/oracle knobs (-j, -batch, -curve, -surrogate),
-// artifact output
-// (-out-dir), profiling (-cpuprofile, -memprofile), and the observability
+// CLIs share: the worker count (-j), artifact output (-out-dir), profiling (-cpuprofile, -memprofile), and the observability
 // additions — the opt-in debug server (-listen) and the structured logger
 // (-log-level, -log-json). Before this package each tool declared and wired
 // its own copies; now a tool registers one Common and gets identical flag
@@ -25,10 +23,7 @@ type Common struct {
 	Tool string
 
 	// Work flags (RegisterWork).
-	Jobs      int
-	Batch     int
-	Curve     bool
-	Surrogate bool
+	Jobs int
 
 	// Observability flags (RegisterObs).
 	OutDir   string
@@ -46,14 +41,10 @@ func New(tool string) *Common {
 	return &Common{Tool: tool}
 }
 
-// RegisterWork installs the parallelism flags: -j and -batch. Tools whose
-// results are independent of these (by the deterministic-parallelism
-// contract) share one help text stating so.
+// RegisterWork installs the parallelism flag -j. Results are independent of
+// it (the deterministic-parallelism contract), and its help text says so.
 func (c *Common) RegisterWork(fs *flag.FlagSet) {
 	fs.IntVar(&c.Jobs, "j", 0, "evaluation workers (1 = serial, <1 = NumCPU); output is identical for every value")
-	fs.IntVar(&c.Batch, "batch", 0, "analysis-oracle batch width (0 or 1 = scalar oracle, >=2 = batched SoA oracle); output is identical for every value")
-	fs.BoolVar(&c.Curve, "curve", true, "answer optimizer oracle queries from per-core hit-curve indexes (tier 1, exact; takes precedence over -batch); output is identical for every value")
-	fs.BoolVar(&c.Surrogate, "surrogate", false, "prefilter GA children with the curve-bound surrogate fitness (tier 2, approximate: fewer exact evaluations, optimum may differ); requires -curve")
 }
 
 // RegisterObs installs the observability flags: -out-dir, -listen,

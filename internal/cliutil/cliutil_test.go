@@ -45,20 +45,20 @@ func TestFlagMatrix(t *testing.T) {
 		{
 			tool: "cohort-bench",
 			reg:  groups{work: true, obs: true, profile: true},
-			args: []string{"-j", "4", "-batch", "8", "-log-level", "debug", "-log-json", "-memprofile", "mem.out"},
-			want: Common{Jobs: 4, Batch: 8, Curve: true, LogLevel: "debug", LogJSON: true, MemProfile: "mem.out"},
+			args: []string{"-j", "4", "-log-level", "debug", "-log-json", "-memprofile", "mem.out"},
+			want: Common{Jobs: 4, LogLevel: "debug", LogJSON: true, MemProfile: "mem.out"},
 		},
 		{
 			tool: "cohort-opt",
 			reg:  groups{work: true, obs: true, profile: true},
-			args: nil, // defaults only: curve oracle on, surrogate off
-			want: Common{Curve: true, LogLevel: "info"},
+			args: nil, // defaults only
+			want: Common{LogLevel: "info"},
 		},
 		{
 			tool: "cohort-opt",
 			reg:  groups{work: true, obs: true, profile: true},
-			args: []string{"-curve=false", "-surrogate"},
-			want: Common{Curve: false, Surrogate: true, LogLevel: "info"},
+			args: []string{"-j", "1", "-out-dir", "art", "-log-level", "off"},
+			want: Common{Jobs: 1, OutDir: "art", LogLevel: "off"},
 		},
 	}
 	for _, tc := range cases {

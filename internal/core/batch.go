@@ -27,10 +27,9 @@ type BatchLane struct {
 }
 
 // RunBatch evaluates every lane against one shared decoded trace and returns
-// the per-lane measurements, index-aligned with lanes. It is the full-system
-// counterpart of analysis.BatchAnalyzer: the trace is decoded once and every
-// lane replays it, so a parameter sweep pays trace generation once instead of
-// once per configuration.
+// the per-lane measurements, index-aligned with lanes. The trace is decoded
+// once and every lane replays it, so a parameter sweep pays trace generation
+// once instead of once per configuration.
 //
 // Batching here is at lane granularity, not event granularity: heterogeneous
 // configurations diverge in timing from the first miss, so there is no shared

@@ -49,8 +49,6 @@ func AblationOptimizer(o Options) (*OptimizerAblation, error) {
 		}
 		hcConf := opt.DefaultHC(o.GA.Seed)
 		hcConf.Workers = o.GA.Workers
-		hcConf.OracleBatch = o.GA.OracleBatch
-		hcConf.OracleCurve = o.GA.OracleCurve
 		hc, err := opt.HillClimb(prob, hcConf)
 		if err != nil {
 			return OptimizerAblationRow{}, fmt.Errorf("optimizer ablation %s hc: %w", p.Name, err)

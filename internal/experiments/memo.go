@@ -85,8 +85,8 @@ func traceFingerprint(tr *trace.Trace) string {
 // optimizeTimers runs the GA for a scenario: critical cores get optimized
 // timers, non-critical cores run MSI. Results are memoized on the trace
 // content, the platform width and every result-affecting GA parameter —
-// Workers and the exact oracle tiers (OracleBatch, OracleCurve) return
-// byte-identical Results, so the cache key must not distinguish them.
+// Workers returns byte-identical Results, so the cache key must not
+// distinguish it.
 func optimizeTimers(o *Options, tr *trace.Trace, critical []bool) (*opt.Result, error) {
 	k := parallel.NewKey("experiments/opt")
 	k.Str(traceFingerprint(tr))
@@ -98,14 +98,6 @@ func optimizeTimers(o *Options, tr *trace.Trace, critical []bool) (*opt.Result, 
 	g := o.GA
 	k.Int(g.Pop).Int(g.Generations).Int(g.Elite).Int(g.TournamentK)
 	k.Float64(g.CrossoverProb).Float64(g.MutationProb).Uint64(g.Seed)
-	// Workers, OracleBatch and OracleCurve are result-neutral and stay out of
-	// the key. The tier-2 surrogate is not — it changes which children are
-	// evaluated exactly and can move the optimum — so it joins the key, but
-	// only when enabled: every surrogate-off key (and the fingerprints built
-	// on them) stays byte-stable.
-	if g.Surrogate {
-		k.Bool(true).Float64(g.SurrogateMargin)
-	}
 	key := k.Sum()
 	if r, ok := optMemo.Get(key); ok {
 		progress().AddMemoHits(1)

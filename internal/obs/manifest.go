@@ -81,7 +81,7 @@ type AttributionRow struct {
 }
 
 // Manifest describes one CLI invocation: what ran (tool, args, config
-// fingerprint, input traces, seed, workers, oracle batch width), when and
+// fingerprint, input traces, seed, workers), when and
 // for how long (the only wall-clock fields in the repository), and what it
 // measured (engine counters, the full metrics snapshot, and optionally the
 // per-core WCML latency attribution). Manifests are the unit of comparison
@@ -96,8 +96,6 @@ type Manifest struct {
 	Traces      []TraceRef         `json:"traces,omitempty"`
 	Seed        int64              `json:"seed"`
 	Workers     int                `json:"workers"`
-	OracleBatch int                `json:"oracle_batch,omitempty"`
-	Curve       bool               `json:"curve,omitempty"`
 	StartedAt   string             `json:"started_at"`
 	WallSeconds float64            `json:"wall_seconds"`
 	Host        *HostInfo          `json:"host,omitempty"`
@@ -159,9 +157,6 @@ func (m *Manifest) Validate() error {
 	}
 	if m.Workers < 1 {
 		return fmt.Errorf("manifest: workers %d < 1", m.Workers)
-	}
-	if m.OracleBatch < 0 {
-		return fmt.Errorf("manifest: negative oracle_batch %d", m.OracleBatch)
 	}
 	if _, err := time.Parse(time.RFC3339, m.StartedAt); err != nil {
 		return fmt.Errorf("manifest: started_at: %v", err)

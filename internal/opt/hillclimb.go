@@ -21,17 +21,6 @@ type HCConfig struct {
 	// anything below 1 selects runtime.NumCPU(). The Result is byte-identical
 	// for every value.
 	Workers int
-	// OracleBatch selects the analysis-oracle batching width, with the same
-	// semantics as GAConfig.OracleBatch: ≥ 2 memoizes the isolation analysis
-	// per (core, θ) and evaluates fresh pairs in SoA walks of up to this
-	// many columns; 0 and 1 keep the scalar oracle. The Result is
-	// byte-identical for every value.
-	OracleBatch int
-	// OracleCurve selects the hit-curve oracle, with the same semantics as
-	// GAConfig.OracleCurve: per-core hit curves answer every (core, θ) query
-	// in O(log k), taking precedence over OracleBatch. The Result is
-	// byte-identical for every oracle.
-	OracleCurve bool
 	// Progress, when non-nil, receives live pull-sampled progress with the
 	// same semantics as GAConfig.Progress; restarts are reported as
 	// generations. Purely observational.
@@ -57,13 +46,21 @@ func DefaultHC(seed uint64) HCConfig {
 // the step a pure function of the current point — unlike first-improvement
 // descent, whose trajectory depends on evaluation order — so the Result is
 // byte-identical for every HCConfig.Workers value.
+//
 //cohort:hotpath determinism
 func HillClimb(p *Problem, hc HCConfig) (*Result, error) {
+	res, _, err := hillClimb(p, hc)
+	return res, err
+}
+
+// hillClimb is HillClimb that also returns its evaluator (nil when there are no
+// timed cores), so tests can audit every evaluation the run computed.
+func hillClimb(p *Problem, hc HCConfig) (*Result, *evaluator, error) {
 	if err := p.Validate(); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	if hc.Restarts < 1 || hc.MaxSteps < 1 {
-		return nil, fmt.Errorf("opt: degenerate HC config %+v", hc)
+		return nil, nil, fmt.Errorf("opt: degenerate HC config %+v", hc)
 	}
 	nGenes := p.numGenes()
 	res := &Result{}
@@ -72,18 +69,11 @@ func HillClimb(p *Problem, hc HCConfig) (*Result, error) {
 		res.Timers = timers
 		res.Eval = p.Evaluate(timers)
 		res.Evaluations = 1
-		return res, nil
+		return res, nil, nil
 	}
-	oracle := newEvaluator(p, hc.Workers, hc.OracleBatch, hc.OracleCurve, false, hc.Progress)
+	oracle := newEvaluator(p, hc.Workers, hc.Progress)
 	hc.Progress.SetGenerations(int64(hc.Restarts))
-	switch {
-	case oracle.curves != nil:
-		res.ThetaIS = thetaISCurve(p, oracle)
-	case hc.OracleBatch > 1:
-		res.ThetaIS = thetaISBatched(p, hc.Workers, oracle)
-	default:
-		res.ThetaIS = thetaIS(p, hc.Workers)
-	}
+	res.ThetaIS = thetaIS(p, oracle.sets, hc.Workers)
 
 	rng := trace.NewRNG(hc.Seed ^ 0x6863) // "hc"
 	clamp := func(g int, v config.Timer) config.Timer {
@@ -160,5 +150,5 @@ func HillClimb(p *Problem, hc HCConfig) (*Result, error) {
 	res.Eval = bestEval
 	res.Evaluations = oracle.computed
 	res.Engine = oracle.engineStats()
-	return res, nil
+	return res, oracle, nil
 }

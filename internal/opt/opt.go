@@ -25,7 +25,6 @@ import (
 	"cohort/internal/analysis"
 	"cohort/internal/config"
 	"cohort/internal/obs"
-	"cohort/internal/parallel"
 	"cohort/internal/stats"
 	"cohort/internal/trace"
 )
@@ -171,27 +170,25 @@ func (p *Problem) compile() *compiled {
 	return c
 }
 
+// evaluate evaluates one timer vector through private regime sets — one
+// replay per timed core, the cost of the scalar analysis — so one-off
+// evaluations leave nothing in the shared cache.
 func (c *compiled) evaluate(timers []config.Timer) Evaluation {
-	return c.evaluateSrc(timers, nil, nil)
+	timers = append([]config.Timer(nil), timers...)
+	sets := make([]*analysis.RegimeSet, len(timers))
+	for i := range sets {
+		sets[i] = &analysis.RegimeSet{}
+	}
+	resolve(c.p, sets, [][]config.Timer{timers}, 1)
+	return c.evaluateOwned(timers, sets)
 }
 
-// evaluateSrc is evaluate with a pluggable isolation-analysis source: when
-// curves is non-nil, timed cores' (MHit, MMiss) splits are answered by the
-// per-core hit-curve index; otherwise, when memo is non-nil, they are read
-// from memo[core][θ]; otherwise analysis.IsolationHits runs per core.
-// Everything else — the WCL hoist, the float summation order, the constraint
-// handling — is the shared code path, so a memoized or curve-served
-// evaluation is bit-identical to a scalar one whenever the source serves
-// true IsolationHits results.
-func (c *compiled) evaluateSrc(timers []config.Timer, memo []map[config.Timer][2]int64, curves []*analysis.HitCurve) Evaluation {
-	return c.evaluateSrcOwned(append([]config.Timer(nil), timers...), memo, curves)
-}
-
-// evaluateSrcOwned is evaluateSrc taking ownership of timers: the slice is
-// stored in the returned Evaluation without a defensive copy, so callers
-// must never mutate it afterwards. The evaluator's batch path qualifies —
-// every job's vector is freshly materialized and dropped after evaluation.
-func (c *compiled) evaluateSrcOwned(timers []config.Timer, memo []map[config.Timer][2]int64, curves []*analysis.HitCurve) Evaluation {
+// evaluateOwned assembles the Evaluation of a timer vector whose timed
+// cores' (MHit, MMiss) splits are all recorded in sets (resolve has run).
+// It takes ownership of timers: the slice is stored in the returned
+// Evaluation without a defensive copy, so callers must never mutate it
+// afterwards.
+func (c *compiled) evaluateOwned(timers []config.Timer, sets []*analysis.RegimeSet) Evaluation {
 	p := c.p
 	n := len(p.Streams)
 	ev := Evaluation{
@@ -213,19 +210,10 @@ func (c *compiled) evaluateSrcOwned(timers []config.Timer, memo []map[config.Tim
 		}
 		lambda := c.lambdas[i]
 		if timers[i].Timed() {
-			if curves != nil {
-				// Curve oracle: O(log k) exact query (with the scalar fallback
-				// beyond an incomplete curve's frontier).
-				b.MHit, b.MMiss = curves[i].Eval(timers[i])
-			} else if memo != nil {
-				hm, ok := memo[i][timers[i]]
-				if !ok {
-					panic(fmt.Sprintf("opt: batched oracle missing core %d θ=%d", i, timers[i]))
-				}
-				b.MHit, b.MMiss = hm[0]+TestHooks.BatchedOracleHitSkew*int64(timers[i]), hm[1]
-			} else {
-				// The paper's oracle: in-isolation hit analysis (Fig. 2a).
-				b.MHit, b.MMiss = analysis.IsolationHits(p.Streams[i], p.L1, p.Lat, timers[i])
+			// The paper's oracle: in-isolation hit analysis (Fig. 2a).
+			var ok bool
+			if b.MHit, b.MMiss, ok = sets[i].Lookup(timers[i]); !ok {
+				panic(fmt.Sprintf("opt: oracle missing core %d θ=%d", i, timers[i]))
 			}
 			b.WCMLBound = analysis.WCML(b.MHit, b.MMiss, p.Lat.Hit, b.WCL)
 		} else {
@@ -266,39 +254,17 @@ func fitness(ev *Evaluation) float64 {
 }
 
 // evaluator runs oracle evaluations for one optimization run: a compiled
-// problem, a worker count, and a content-addressed memo-cache keyed by the
-// timer vector, so a genome that reappears (elites, converged populations,
-// revisited neighbors) is never recomputed.
-//
-// With oracleBatch ≥ 2 the evaluator additionally memoizes the isolation
-// analysis per (core, θ) for the lifetime of the run, and computes fresh
-// pairs through analysis.BatchAnalyzer in SoA walks of up to oracleBatch
-// columns. Distinct genomes routinely share genes — elites mutate one
-// coordinate, hill-climb neighborhoods vary one gene at a time — so the
-// per-core memo turns the oracle's cost from (distinct genomes × cores)
-// stream walks into (distinct (core, θ) pairs ÷ batch width) walks. The
-// genome-level memo-cache, its key, and every counter are untouched:
-// results are bit-identical to the scalar oracle for every batch width.
-//
-// With curve set, the hit-curve oracle replaces the batched one (taking
-// precedence over oracleBatch) once its indexes are installed: one
-// analysis.HitCurve per timed core — served from a process-wide
-// content-addressed cache, so repeated runs over the same streams skip
-// construction entirely — answers every (core, θ) pair with an O(log k)
-// query instead of a stream walk, directly in the evaluation assembly — no
-// per-core memo, no prefill pass. Installation is amortization-gated:
-// eager when the curves are already cached (a fetch, not a build) or when
-// the surrogate needs them, otherwise deferred until the run has brought
-// curveBuildBudget fresh genomes — cold short runs never pay construction
-// and keep serving from the batched or scalar oracle. Every source is
-// exact and the genome cache and all counters behave identically, so
-// Results stay bit-identical wherever the switch lands.
+// problem, a worker count, the per-core regime sets of the exact oracle, and
+// a content-addressed memo-cache keyed by the timer vector, so a genome that
+// reappears (elites, converged populations, revisited neighbors) is never
+// recomputed.
 type evaluator struct {
-	p           *Problem
-	c           *compiled
-	workers     int
-	oracleBatch int
-	curve       bool
+	p       *Problem
+	c       *compiled
+	workers int
+	// sets[i] is timed core i's regime set (nil for untimed cores), shared
+	// process-wide through curveMemo.
+	sets []*analysis.RegimeSet
 	// evalCache is the genome-level memo (keyed by the raw genome key of the
 	// gene vector). Every probe and store happens on the coordinator
 	// goroutine, so a plain map with explicit counters stands in for
@@ -309,49 +275,25 @@ type evaluator struct {
 	// keyBuf is the reusable genome-key scratch buffer; only the coordinator
 	// touches it.
 	keyBuf []byte
-	// surrTimers is surrogateFitness's scratch timer vector, reused across
-	// children (tier 2 runs on the coordinator too).
-	surrTimers []config.Timer
-	// curves[i] is timed core i's hit-curve index (nil for untimed cores).
-	// The slice itself is nil until installCurves runs — eagerly from
-	// newEvaluator for warm or surrogate runs, or mid-run once the fresh-
-	// genome count crosses curveBuildBudget.
-	curves []*analysis.HitCurve
-	// coreMemo[i][θ] is core i's memoized IsolationHits split (hits, misses).
-	// Lookup-only maps (never ranged), populated in deterministic submission
-	// order by prefill and the batched saturation sweep. Nil outside batched
-	// mode — scalar mode runs the analysis per genome, curve mode reads the
-	// index directly.
-	coreMemo []map[config.Timer][2]int64
 	// computed counts oracle evaluations actually performed (cache misses
-	// deduped within each batch).
-	computed int
-	// progress, when non-nil, receives live memo-hit/miss and batch-lane
-	// counts (obs.RunTracker). Bumped only on the serial coordinator
-	// goroutine, after parallel sections merge.
+	// deduped within each batch); replays counts the regime replays the
+	// evaluations needed.
+	computed, replays int
+	// progress, when non-nil, receives live memo-hit/miss and replay counts
+	// (obs.RunTracker). Bumped only on the serial coordinator goroutine,
+	// after parallel sections merge.
 	progress *obs.RunHandle
 }
 
-func newEvaluator(p *Problem, workers, oracleBatch int, curve, surrogate bool, progress *obs.RunHandle) *evaluator {
-	e := &evaluator{
-		p:           p,
-		c:           p.compile(),
-		workers:     workers,
-		oracleBatch: oracleBatch,
-		curve:       curve,
-		evalCache:   make(map[string]Evaluation, 256),
-		progress:    progress,
+func newEvaluator(p *Problem, workers int, progress *obs.RunHandle) *evaluator {
+	return &evaluator{
+		p:         p,
+		c:         p.compile(),
+		workers:   workers,
+		sets:      regimeSets(p),
+		evalCache: make(map[string]Evaluation, 256),
+		progress:  progress,
 	}
-	if e.curve && (surrogate || curveBuildBudget <= 0 || curvesWarm(p)) {
-		e.installCurves()
-	}
-	if e.oracleBatch > 1 && e.curves == nil {
-		e.coreMemo = make([]map[config.Timer][2]int64, len(p.Streams))
-		for i := range e.coreMemo {
-			e.coreMemo[i] = make(map[config.Timer][2]int64, 256)
-		}
-	}
-	return e
 }
 
 // engineStats reports the genome-cache probe counters in the same shape as
@@ -362,69 +304,6 @@ func (e *evaluator) engineStats() stats.EngineStats {
 		CacheHits:   e.cacheHits,
 		CacheMisses: e.cacheMisses,
 	}
-}
-
-// oracleUnit is one batched-analysis job: a contiguous chunk of fresh timers
-// for one core, at most oracleBatch wide.
-type oracleUnit struct {
-	core   int
-	thetas []config.Timer
-}
-
-// prefill runs the isolation analysis for every (core, θ) pair the genomes
-// need that the per-core memo does not yet hold. Fresh pairs are collected
-// in submission order, chunked per core into SoA walks of up to oracleBatch
-// columns, fanned across workers, and merged back serially — so the memo
-// content is a pure function of the genome sequence, identical for every
-// worker count and batch width.
-func (e *evaluator) prefill(genomes [][]config.Timer) {
-	n := len(e.p.Streams)
-	fresh := make([][]config.Timer, n)
-	seen := make([]map[config.Timer]bool, n)
-	for _, timers := range genomes {
-		for i, th := range timers {
-			if !th.Timed() {
-				continue
-			}
-			if _, ok := e.coreMemo[i][th]; ok {
-				continue
-			}
-			if seen[i] == nil {
-				seen[i] = make(map[config.Timer]bool)
-			}
-			if seen[i][th] {
-				continue
-			}
-			seen[i][th] = true
-			fresh[i] = append(fresh[i], th)
-		}
-	}
-	var units []oracleUnit
-	for i := 0; i < n; i++ {
-		for off := 0; off < len(fresh[i]); off += e.oracleBatch {
-			end := off + e.oracleBatch
-			if end > len(fresh[i]) {
-				end = len(fresh[i])
-			}
-			units = append(units, oracleUnit{core: i, thetas: fresh[i][off:end]})
-		}
-	}
-	type unitResult struct{ hits, misses []int64 }
-	results := parallel.Map(e.workers, len(units), func(u int) unitResult {
-		ba := analysis.NewBatchAnalyzer(e.p.L1)
-		r := unitResult{
-			hits:   make([]int64, len(units[u].thetas)),
-			misses: make([]int64, len(units[u].thetas)),
-		}
-		ba.IsolationHitsBatch(e.p.Streams[units[u].core], e.p.Lat, units[u].thetas, r.hits, r.misses)
-		return r
-	})
-	for u := range units {
-		for k, th := range units[u].thetas {
-			e.coreMemo[units[u].core][th] = [2]int64{results[u].hits[k], results[u].misses[k]}
-		}
-	}
-	e.progress.AddLanes(int64(len(units)))
 }
 
 // genomeKey builds the memo-cache key of a timer vector (the evaluator keys
@@ -488,37 +367,15 @@ func (e *evaluator) batch(genomes [][]config.Timer) []Evaluation {
 		jobs = append(jobs, e.p.Timers(g))
 		jobKeys = append(jobKeys, key)
 	}
-	// Deferred curve installation: once the run has brought enough fresh
-	// genomes to amortize construction, build the indexes and serve every
-	// later batch from them. Exact either way, so the switch point is
-	// invisible in the results.
-	if e.curve && e.curves == nil && e.cacheMisses >= curveBuildBudget {
-		e.installCurves()
-	}
-	var results []Evaluation
-	switch {
-	case e.curves != nil:
-		// Curve oracle: every (core, θ) query is an O(log k) index lookup, so
-		// the assembly runs serially with no prefill pass. Same per-core order
-		// and arithmetic as the scalar path — results are bit-identical.
-		results = make([]Evaluation, len(jobs))
-		for j := range jobs {
-			results[j] = e.c.evaluateSrcOwned(jobs[j], nil, e.curves)
-		}
-	case e.oracleBatch > 1:
-		// Batched oracle: resolve all fresh (core, θ) pairs first, then
-		// assemble the evaluations serially from the memo. The assembly is
-		// pure integer/float arithmetic in the same per-core order as the
-		// scalar path, so the results are bit-identical.
-		e.prefill(jobs)
-		results = make([]Evaluation, len(jobs))
-		for j := range jobs {
-			results[j] = e.c.evaluateSrcOwned(jobs[j], e.coreMemo, nil)
-		}
-	default:
-		results = parallel.Map(e.workers, len(jobs), func(j int) Evaluation {
-			return e.c.evaluateSrcOwned(jobs[j], nil, nil)
-		})
+	// Resolve every (core, θ) pair the fresh genomes need, then assemble the
+	// evaluations serially from the regime sets: pure integer/float
+	// arithmetic in a fixed per-core order, identical for every worker count.
+	replays := resolve(e.p, e.sets, jobs, e.workers)
+	e.replays += replays
+	e.progress.AddLanes(int64(replays))
+	results := make([]Evaluation, len(jobs))
+	for j := range jobs {
+		results[j] = e.c.evaluateOwned(jobs[j], e.sets)
 	}
 	for j := range jobKeys {
 		e.evalCache[jobKeys[j]] = results[j]
@@ -532,69 +389,6 @@ func (e *evaluator) batch(genomes [][]config.Timer) []Evaluation {
 		}
 	}
 	return out
-}
-
-// thetaIS computes the per-gene saturation timers (§V) — one independent
-// analysis sweep per timed core, fanned out across workers.
-func thetaIS(p *Problem, workers int) []config.Timer {
-	timed := make([]int, 0, len(p.Timed))
-	for i, t := range p.Timed {
-		if t {
-			timed = append(timed, i)
-		}
-	}
-	return parallel.Map(workers, len(timed), func(g int) config.Timer {
-		th, _ := analysis.SaturationTimer(p.Streams[timed[g]], p.L1, p.Lat)
-		return th
-	})
-}
-
-// thetaISBatched is thetaIS on the batched oracle: each timed core's
-// saturation sweep evaluates its doubling grid in one SoA stream walk, and
-// every (θ → hits, misses) sample the sweep produced seeds the evaluator's
-// per-core memo — so the boundary individuals of the initial population
-// (all-ones, all-θ_is) evaluate without re-running the analysis. The sweep
-// is bit-identical to analysis.SaturationTimer per core.
-func thetaISBatched(p *Problem, workers int, e *evaluator) []config.Timer {
-	timed := make([]int, 0, len(p.Timed))
-	for i, t := range p.Timed {
-		if t {
-			timed = append(timed, i)
-		}
-	}
-	type satResult struct {
-		theta   config.Timer
-		samples []analysis.TimerSample
-	}
-	results := parallel.Map(workers, len(timed), func(g int) satResult {
-		ba := analysis.NewBatchAnalyzer(p.L1)
-		th, _, samples := ba.SaturationTimer(p.Streams[timed[g]], p.Lat)
-		return satResult{theta: th, samples: samples}
-	})
-	out := make([]config.Timer, len(timed))
-	for g := range results {
-		out[g] = results[g].theta
-		for _, smp := range results[g].samples {
-			e.coreMemo[timed[g]][smp.Theta] = [2]int64{smp.Hits, smp.Misses}
-		}
-	}
-	return out
-}
-
-// TestHooks injects seeded faults for the batched-oracle differential suite
-// (and nothing else). All hooks default to off; production code must never
-// set them.
-var TestHooks struct {
-	// BatchedOracleHitSkew adds skew·θ guaranteed hits to every memo-served
-	// isolation result. The θ-proportional shape mimics a real batching bug
-	// (a window-test off-by-one is θ-dependent) and perturbs candidate
-	// *ranking*, not just absolute fitness, so the fault surfaces all the
-	// way up to rendered tables — a uniform shift would cancel out of the
-	// argmax. Only the batched oracle path reads it — the scalar oracle is
-	// untouched — so the equivalence suite can prove its batched ≡ scalar
-	// comparison fails closed: with a nonzero skew it must report a
-	// mismatch.
-	BatchedOracleHitSkew int64
 }
 
 // GAConfig tunes the genetic algorithm. DefaultGA mirrors a conventional
@@ -618,34 +412,6 @@ type GAConfig struct {
 	// anything below 1 selects runtime.NumCPU(). The Result is byte-identical
 	// for every value.
 	Workers int
-	// OracleBatch selects the analysis-oracle batching width: with a value
-	// ≥ 2, the isolation analysis is memoized per (core, θ) across the run
-	// and fresh pairs are evaluated in SoA walks of up to OracleBatch
-	// columns (analysis.BatchAnalyzer). 0 and 1 select the scalar oracle —
-	// one full analysis pass per core per distinct genome. The Result is
-	// byte-identical for every value; only the oracle's cost changes.
-	OracleBatch int
-	// OracleCurve selects the hit-curve oracle (tier 1): one
-	// analysis.HitCurve per timed core answers every (core, θ) query with a
-	// binary search instead of a stream walk, and θ_is is read off the curve
-	// through the shared saturation sweep. Takes precedence over OracleBatch.
-	// The Result is byte-identical to the scalar and batched oracles; only
-	// the cost changes.
-	OracleCurve bool
-	// Surrogate enables the tier-2 surrogate prefilter: each generation's
-	// children are scored by a cheap curve-bound fitness first, and only
-	// those within SurrogateMargin of the elite frontier are evaluated
-	// exactly. Elites and the reported best are always exact; pruned
-	// children keep their surrogate fitness for selection only. Requires
-	// OracleCurve. Unlike the exact oracles this changes Result counters
-	// (fewer Evaluations), so it participates in result cache keys.
-	Surrogate bool
-	// SurrogateMargin is the relative margin around the elite frontier
-	// within which children are still evaluated exactly: a child is pruned
-	// only when its surrogate fitness exceeds frontier·(1+margin). 0 selects
-	// DefaultSurrogateMargin; negative values collapse the margin to 0
-	// (prune everything above the frontier).
-	SurrogateMargin float64
 	// Metrics, when non-nil, receives the optimizer's end-of-run counters
 	// (runs, evaluations, memo-engine totals, best fitness). Purely
 	// observational: it never affects the Result. The experiment harness
@@ -658,7 +424,7 @@ type GAConfig struct {
 	Recorder *obs.Recorder
 	// Progress, when non-nil, receives live pull-sampled progress: the
 	// planned and completed generation counts, memo-cache hits/misses, and
-	// batched-oracle lane completions (obs.RunTracker). Purely observational,
+	// completed oracle replays (obs.RunTracker). Purely observational,
 	// like Metrics: samples are scheduling-dependent and never affect the
 	// Result. Unlike Metrics and Recorder it survives the experiment
 	// harness's memoization strip — live progress is allowed to depend on
@@ -708,19 +474,24 @@ type Result struct {
 // the same order as a serial run; only the deduped oracle evaluations are
 // dispatched to workers. Optimize therefore returns a byte-identical Result
 // for every GAConfig.Workers value.
+//
 //cohort:hotpath determinism
 func Optimize(p *Problem, gc GAConfig) (*Result, error) {
+	res, _, err := optimize(p, gc)
+	return res, err
+}
+
+// optimize is Optimize that also returns its evaluator (nil when there are no
+// timed cores), so tests can audit every evaluation the run computed.
+func optimize(p *Problem, gc GAConfig) (*Result, *evaluator, error) {
 	if err := p.Validate(); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	if gc.Pop < 2 || gc.Generations < 1 {
-		return nil, fmt.Errorf("opt: degenerate GA config %+v", gc)
+		return nil, nil, fmt.Errorf("opt: degenerate GA config %+v", gc)
 	}
 	if gc.Elite >= gc.Pop {
-		return nil, fmt.Errorf("opt: elite %d must be below population %d", gc.Elite, gc.Pop)
-	}
-	if gc.Surrogate && !gc.OracleCurve {
-		return nil, fmt.Errorf("opt: surrogate prefilter requires the curve oracle")
+		return nil, nil, fmt.Errorf("opt: elite %d must be below population %d", gc.Elite, gc.Pop)
 	}
 	nGenes := p.numGenes()
 	res := &Result{}
@@ -731,25 +502,15 @@ func Optimize(p *Problem, gc GAConfig) (*Result, error) {
 		res.Eval = ev
 		res.Evaluations = 1
 		publishMetrics(gc.Metrics, res)
-		return res, nil
+		return res, nil, nil
 	}
 
-	oracle := newEvaluator(p, gc.Workers, gc.OracleBatch, gc.OracleCurve, gc.Surrogate, gc.Progress)
+	oracle := newEvaluator(p, gc.Workers, gc.Progress)
 	gc.Progress.SetGenerations(int64(gc.Generations))
 
-	// Per-gene upper bounds: θ_is from the saturation sweep (§V). An
-	// eagerly-installed curve oracle reads the sweep off the per-core
-	// index; a deferred one sweeps like its fallback (bit-identical) and
-	// leaves construction to the amortization gate in batch. The batched
-	// sweep seeds the oracle's per-core memo from its samples.
-	switch {
-	case oracle.curves != nil:
-		res.ThetaIS = thetaISCurve(p, oracle)
-	case gc.OracleBatch > 1:
-		res.ThetaIS = thetaISBatched(p, gc.Workers, oracle)
-	default:
-		res.ThetaIS = thetaIS(p, gc.Workers)
-	}
+	// Per-gene upper bounds: θ_is from the saturation sweep (§V), answered
+	// through the same regime sets the evaluations use.
+	res.ThetaIS = thetaIS(p, oracle.sets, gc.Workers)
 
 	rng := trace.NewRNG(gc.Seed ^ 0x6f7074) // "opt"
 	randGene := func(g int) config.Timer {
@@ -771,27 +532,15 @@ func Optimize(p *Problem, gc GAConfig) (*Result, error) {
 		genes []config.Timer
 		ev    Evaluation
 		fit   float64
-		// exact marks fitness values computed by the exact oracle; surrogate-
-		// pruned children carry their tier-2 bound instead and may influence
-		// selection, but never the elites, the best, or the Result.
-		exact bool
 	}
 	evalAll := func(genomes [][]config.Timer) []indiv {
 		evs := oracle.batch(genomes)
 		out := make([]indiv, len(genomes))
 		for i := range genomes {
-			out[i] = indiv{genes: genomes[i], ev: evs[i], fit: fitness(&evs[i]), exact: true}
+			out[i] = indiv{genes: genomes[i], ev: evs[i], fit: fitness(&evs[i])}
 		}
 		return out
 	}
-	margin := gc.SurrogateMargin
-	switch {
-	case margin == 0:
-		margin = DefaultSurrogateMargin
-	case margin < 0:
-		margin = 0
-	}
-
 	genomes := make([][]config.Timer, gc.Pop)
 	for i := range genomes {
 		genes := make([]config.Timer, nGenes)
@@ -811,7 +560,7 @@ func Optimize(p *Problem, gc GAConfig) (*Result, error) {
 
 	best := pop[0]
 	for i := range pop {
-		if pop[i].exact && pop[i].fit < best.fit {
+		if pop[i].fit < best.fit {
 			best = pop[i]
 		}
 	}
@@ -883,47 +632,10 @@ func Optimize(p *Problem, gc GAConfig) (*Result, error) {
 			}
 			children = append(children, child)
 		}
-		if gc.Surrogate && len(children) > 0 {
-			// Tier 2: score every child with the curve-bound surrogate and
-			// evaluate exactly only those within the margin of the elite
-			// frontier (the worst kept elite; the global best when Elite is
-			// 0). The surrogate never exceeds the exact fitness, so a pruned
-			// child provably cannot reach the frontier — let alone improve
-			// the best — and elites can never be pruned individuals: their
-			// fitness exceeds a past frontier, while elites sit at or below
-			// every frontier since.
-			frontier := best.fit
-			if gc.Elite > 0 {
-				frontier = next[len(next)-1].fit
-			}
-			threshold := frontier * (1 + margin)
-			surrFits := make([]float64, len(children))
-			keep := make([]int, 0, len(children))
-			for ci, child := range children {
-				surrFits[ci] = oracle.surrogateFitness(child)
-				if surrFits[ci] <= threshold {
-					keep = append(keep, ci)
-				}
-			}
-			exactGenomes := make([][]config.Timer, len(keep))
-			for k, ci := range keep {
-				exactGenomes[k] = children[ci]
-			}
-			evaluated := evalAll(exactGenomes)
-			childIndivs := make([]indiv, len(children))
-			for ci := range children {
-				childIndivs[ci] = indiv{genes: children[ci], fit: surrFits[ci]}
-			}
-			for k, ci := range keep {
-				childIndivs[ci] = evaluated[k]
-			}
-			next = append(next, childIndivs...)
-		} else {
-			next = append(next, evalAll(children)...)
-		}
+		next = append(next, evalAll(children)...)
 		pop = next
 		for i := range pop {
-			if pop[i].exact && pop[i].fit < best.fit {
+			if pop[i].fit < best.fit {
 				best = pop[i]
 			}
 		}
@@ -943,7 +655,7 @@ func Optimize(p *Problem, gc GAConfig) (*Result, error) {
 	res.Evaluations = oracle.computed
 	res.Engine = oracle.engineStats()
 	publishMetrics(gc.Metrics, res)
-	return res, nil
+	return res, oracle, nil
 }
 
 // publishMetrics folds one Optimize run's counters into a registry. The
