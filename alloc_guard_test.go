@@ -8,7 +8,7 @@ import (
 
 // TestAllocationCeiling pins the simulation kernel's allocation count: one
 // full system construction plus run must stay under a ceiling set just above
-// the measured count (~317 allocs for this workload, dominated by
+// the measured count (~184 allocs for this workload, dominated by
 // one-time setup — trace copies, cache arrays, event-queue backing). The
 // pre-overhaul kernel took ~38,000 allocs on the same workload, so the guard
 // trips long before boxing or per-event closures creep back into the hot
@@ -26,7 +26,7 @@ func TestAllocationCeiling(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	const ceiling = 400
+	const ceiling = 250
 	allocs := testing.AllocsPerRun(10, func() {
 		sys, err := cohort.NewSystem(cfg, tr)
 		if err != nil {

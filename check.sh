@@ -1,9 +1,17 @@
 #!/bin/sh
 # check.sh runs the same gate as CI (.github/workflows/ci.yml) locally:
-# build, go vet, the determinism lint suite, the test suite, and the
+# gofmt, build, go vet, the determinism lint suite, the test suite, and the
 # race-detector pass over the simulator packages.
 set -eu
 cd "$(dirname "$0")"
+
+echo "==> gofmt -l (analyzer goldens under internal/lint/testdata excluded)"
+unformatted="$(find . -name '*.go' -not -path './internal/lint/testdata/*' -not -path './.bench_build/*' -exec gofmt -l {} +)"
+if [ -n "$unformatted" ]; then
+  echo "$unformatted"
+  echo "    FAIL: files above need gofmt"
+  exit 1
+fi
 
 echo "==> go build ./..."
 go build ./...

@@ -31,6 +31,7 @@ import (
 func main() {
 	cu := cliutil.New("cohort-sim")
 	cu.RegisterObs(flag.CommandLine)
+	cu.RegisterProfile(flag.CommandLine)
 	var (
 		bench      = flag.String("bench", "fft", "benchmark profile (ignored with -trace)")
 		traceFile  = flag.String("trace", "", "read the workload from this trace file (text or binary)")
@@ -59,6 +60,11 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
+	stopProfiles, err := cu.StartProfiles(log)
+	if err != nil {
+		fatal(err)
+	}
+	defer stopProfiles()
 
 	tr, err := loadTrace(*traceFile, *dinFiles, *bench, *cores, *scale, *seed)
 	if err != nil {

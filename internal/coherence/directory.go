@@ -41,6 +41,15 @@ type LineInfo struct {
 	OwnerReleased bool
 	// OwnerReleasedAt is the cycle OwnerReleased became true.
 	OwnerReleasedAt int64
+
+	// Contention counters over a run: bus requests (broadcasts) for the
+	// line, ownership transfers sourced from another cache, the cycles
+	// requesters spent waiting for timer releases, and a bitmask of the
+	// cores that requested the line.
+	Requests    int64
+	Handovers   int64
+	TimerStalls int64
+	Requesters  uint64
 }
 
 // PendingInv reports whether any remote requester waits for the line — the

@@ -125,8 +125,8 @@ func (s *System) finishBroadcast(c *coreState, m *missState, now int64) {
 	m.inFlight = false
 	m.broadcasted = true
 	m.broadcastAt = now
-	s.recordRequest(m.line, c.id)
 	li := s.dir.Get(m.line)
+	recordRequest(li, c.id)
 	// Upgrade: the stale S copy dies with the GetM broadcast.
 	if m.wasShared {
 		if e := c.l1.Lookup(m.line); e != nil && e.State == cache.Shared {
@@ -310,7 +310,7 @@ func (s *System) grantData(c *coreState, m *missState, now int64) {
 	m.dataGrantAt = now
 	dur := s.cfg.Lat.Data
 	if li.Owner != coherence.MemOwner {
-		s.recordHandover(m.line, m.dataReadyAt-m.broadcastAt)
+		recordHandover(li, m.dataReadyAt-m.broadcastAt)
 		if s.cfg.Transfer == config.TransferViaMemory {
 			dur = 2 * s.cfg.Lat.Data // write back to memory, then re-fetch
 		}

@@ -1,6 +1,10 @@
 package core
 
-import "sort"
+import (
+	"sort"
+
+	"cohort/internal/coherence"
+)
 
 // LineContention summarizes bus traffic on one cache line over a run.
 type LineContention struct {
@@ -27,38 +31,37 @@ func (lc LineContention) Sharers() int {
 	return n
 }
 
-// recordRequest folds one broadcast into the line's contention record.
-func (s *System) recordRequest(line uint64, core int) {
-	lc := s.contention[line]
-	if lc == nil {
-		lc = &LineContention{Line: line} //cohort:allow hotalloc: one record per distinct line, first touch only (covers the map write below)
-		s.contention[line] = lc
-	}
-	lc.Requests++
-	lc.Cores |= 1 << uint(core)
+// recordRequest folds one broadcast into the line's contention counters.
+func recordRequest(li *coherence.LineInfo, core int) {
+	li.Requests++
+	li.Requesters |= 1 << uint(core)
 }
 
 // recordHandover notes a cache-to-cache ownership transfer and the timer
 // wait the requester paid for it (broadcast-to-ready distance).
-func (s *System) recordHandover(line uint64, wait int64) {
-	lc := s.contention[line]
-	if lc == nil {
-		lc = &LineContention{Line: line} //cohort:allow hotalloc: one record per distinct line, first touch only (covers the map write below)
-		s.contention[line] = lc
-	}
-	lc.Handovers++
+func recordHandover(li *coherence.LineInfo, wait int64) {
+	li.Handovers++
 	if wait > 0 {
-		lc.TimerStalls += wait
+		li.TimerStalls += wait
 	}
 }
+
+// contended reports whether the line saw any bus request. A handover always
+// follows its own broadcast, so this covers every line with a counter set.
+func contended(li *coherence.LineInfo) bool { return li.Requests > 0 }
 
 // TopContended returns the k most requested lines in descending request
 // order (ties broken by line address for determinism). Available after Run.
 func (s *System) TopContended(k int) []LineContention {
-	out := make([]LineContention, 0, len(s.contention))
-	for _, lc := range s.contention {
-		out = append(out, *lc)
-	}
+	var out []LineContention
+	s.dir.ForEach(func(line uint64, li *coherence.LineInfo) {
+		if contended(li) {
+			out = append(out, LineContention{
+				Line: line, Requests: li.Requests, Handovers: li.Handovers,
+				TimerStalls: li.TimerStalls, Cores: li.Requesters,
+			})
+		}
+	})
 	sort.Slice(out, func(i, j int) bool {
 		if out[i].Requests != out[j].Requests {
 			return out[i].Requests > out[j].Requests

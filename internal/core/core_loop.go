@@ -3,6 +3,7 @@ package core
 import (
 	"cohort/internal/cache"
 	"cohort/internal/coherence"
+	"cohort/internal/sim"
 	"cohort/internal/trace"
 )
 
@@ -11,7 +12,13 @@ import (
 // caches: accesses issue in order, hits complete in L_hit cycles and do not
 // block later accesses (hits-over-misses), one miss may be outstanding
 // (MSHR = 1), and a second miss stalls issue until the first resolves.
-func (s *System) coreWake(c *coreState, now int64) {
+//
+// tail reports that the caller is the evCoreWake handler, with nothing left
+// to do at this cycle. Such a call runs the next access's wake in place
+// when that wake would be the next event to fire (sim.Engine.Advance), and
+// keeps issuing. completeMiss passes false: finishData still works at the
+// current cycle after it returns.
+func (s *System) coreWake(c *coreState, now int64, tail bool) {
 	if c.finished {
 		return
 	}
@@ -23,8 +30,11 @@ func (s *System) coreWake(c *coreState, now int64) {
 			return
 		}
 		if c.nextEligible > now {
-			s.scheduleCoreWake(c, c.nextEligible)
-			return
+			if !tail || !s.eng.Advance(sim.Cycle(c.nextEligible)) {
+				s.scheduleCoreWake(c, c.nextEligible)
+				return
+			}
+			now = c.nextEligible
 		}
 		// A blocking cache (ablation knob) stalls on any outstanding miss;
 		// the paper's non-blocking L1 lets hits proceed under a miss.
@@ -162,7 +172,7 @@ func (s *System) completeMiss(c *coreState, m *missState, st cache.State, now in
 	}
 	c.miss = nil
 	s.arb.Served(c.id)
-	s.coreWake(c, now)
+	s.coreWake(c, now, false)
 }
 
 // evictL1 removes a victim line from a core's private cache (the core's own

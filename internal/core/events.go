@@ -87,7 +87,7 @@ func (s *System) HandleEvent(now sim.Cycle, kind sim.Kind, recv int32, p0, _ uin
 		if c.wakeAt == n {
 			c.wakeAt = -1
 		}
-		s.coreWake(c, n)
+		s.coreWake(c, n, true) // tail position: nothing follows in this case
 	case evKick:
 		s.clearKick(n)
 		s.kickArbiter(n)

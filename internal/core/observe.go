@@ -72,32 +72,31 @@ func (s *System) SetMetrics(reg *obs.Registry) error {
 		s.dir.ForEach(func(uint64, *coherence.LineInfo) { n++ })
 		return n
 	})
-	reg.RegisterFunc("sim_contended_lines", func() int64 { return int64(len(s.contention)) })
+	reg.RegisterFunc("sim_contended_lines", func() int64 {
+		return s.sumLines(func(li *coherence.LineInfo) int64 {
+			if contended(li) {
+				return 1
+			}
+			return 0
+		})
+	})
 	reg.RegisterCounterFunc("sim_line_requests_total", func() int64 {
-		var total int64
-		//cohort:allow maprange: order-independent integer sum over the contention map
-		for _, lc := range s.contention {
-			total += lc.Requests
-		}
-		return total
+		return s.sumLines(func(li *coherence.LineInfo) int64 { return li.Requests })
 	})
 	reg.RegisterCounterFunc("sim_line_handovers_total", func() int64 {
-		var total int64
-		//cohort:allow maprange: order-independent integer sum over the contention map
-		for _, lc := range s.contention {
-			total += lc.Handovers
-		}
-		return total
+		return s.sumLines(func(li *coherence.LineInfo) int64 { return li.Handovers })
 	})
 	reg.RegisterCounterFunc("sim_timer_stall_cycles_total", func() int64 {
-		var total int64
-		//cohort:allow maprange: order-independent integer sum over the contention map
-		for _, lc := range s.contention {
-			total += lc.TimerStalls
-		}
-		return total
+		return s.sumLines(func(li *coherence.LineInfo) int64 { return li.TimerStalls })
 	})
 	return nil
+}
+
+// sumLines adds f over every directory line.
+func (s *System) sumLines(f func(*coherence.LineInfo) int64) int64 {
+	var total int64
+	s.dir.ForEach(func(_ uint64, li *coherence.LineInfo) { total += f(li) })
+	return total
 }
 
 // RegisterAttribution exposes the per-core miss-latency decomposition

@@ -74,7 +74,6 @@ type System struct {
 	busBusyUntil int64
 	busHeld      bool    // a transaction owner may still extend its tenure
 	kickPending  []int64 // cycles with a scheduled evKick (bounded by cores+2; linear scan beats a map here)
-	contention   map[uint64]*LineContention
 
 	// Hot-path scratch, preallocated in New / pooled across events so the
 	// steady-state simulation loop performs no heap allocations.
@@ -160,14 +159,13 @@ func newOn(eng *sim.Engine, cfg *config.System, tr *trace.Trace) (*System, error
 	}
 
 	s := &System{
-		cfg:        cfg,
-		eng:        eng,
-		arb:        arb,
-		llc:        memctrl.New(cfg.LLC, cfg.PerfectLLC, cfg.Lat.DRAM),
-		dir:        coherence.NewDirectory(),
-		run:        stats.NewRun(cfg.N()),
-		mode:       cfg.Mode,
-		contention: make(map[uint64]*LineContention),
+		cfg:         cfg,
+		eng:         eng,
+		arb:         arb,
+		llc:         memctrl.New(cfg.LLC, cfg.PerfectLLC, cfg.Lat.DRAM),
+		dir:         coherence.NewDirectory(),
+		run:         stats.NewRun(cfg.N()),
+		mode:        cfg.Mode,
 		kickPending: make([]int64, 0, cfg.N()+4),
 		cands:       make([]bus.Candidate, cfg.N()),
 		timerRecs:   make([]timerRec, 0, 4*cfg.N()),

@@ -59,7 +59,7 @@ func TestResetEquivalentToFresh(t *testing.T) {
 
 		used := New()
 		driveRandom(t, used, seed+99) // unrelated prior run
-		used.SetBudget(12345)        // leftover budget must not survive Reset
+		used.SetBudget(12345)         // leftover budget must not survive Reset
 		used.Reset()
 		got := driveRandom(t, used, seed)
 

@@ -52,11 +52,13 @@ var ErrPastEvent = errors.New("sim: event scheduled in the past")
 // Engine is a single-threaded discrete-event simulation engine.
 // The zero value is ready to use and starts at cycle 0.
 type Engine struct {
-	now     Cycle
-	seq     uint64
-	queue   heap4[payload]
-	budget  Cycle // 0 means unlimited
-	handler Handler
+	now      Cycle
+	seq      uint64
+	queue    heap4[payload]
+	budget   Cycle // 0 means unlimited
+	deadline Cycle // the active RunUntil deadline while inUntil
+	inUntil  bool
+	handler  Handler
 }
 
 // New returns an engine starting at cycle 0.
@@ -179,6 +181,28 @@ func (e *Engine) Step() bool {
 	return true
 }
 
+// Advance moves the clock to at, in place of an event the caller would
+// otherwise queue there, and reports whether it did. It refuses, leaving
+// the clock alone, when at is before now, past the cycle budget or past the
+// deadline of the RunUntil in progress, or when any queued event is due at
+// or before at. On success the skipped event would have been the next to
+// fire, so running its work now changes nothing: an event already queued
+// for the same cycle has a lower seq and fires first, which is why a tie
+// refuses. Only a handler with nothing left to do at the current cycle may
+// call it, since on success everything it does afterwards runs at at.
+//
+//cohort:hotpath
+func (e *Engine) Advance(at Cycle) bool {
+	if at < e.now || (e.budget > 0 && at > e.budget) || (e.inUntil && at > e.deadline) {
+		return false
+	}
+	if e.queue.len() > 0 && e.queue.s[0].at <= at {
+		return false
+	}
+	e.now = at
+	return true
+}
+
 // Run executes events until the queue drains or the cycle budget is hit.
 //
 //cohort:hotpath
@@ -197,9 +221,11 @@ func (e *Engine) Run() error {
 //
 //cohort:hotpath
 func (e *Engine) RunUntil(deadline Cycle) {
+	e.deadline, e.inUntil = deadline, true
 	for e.queue.len() > 0 && e.queue.s[0].at <= deadline {
 		e.Step()
 	}
+	e.inUntil = false
 	if e.now < deadline {
 		e.now = deadline
 	}

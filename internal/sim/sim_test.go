@@ -125,6 +125,76 @@ func TestRunUntil(t *testing.T) {
 	}
 }
 
+// TestAdvance pins when Advance may move the clock in place of a queued
+// event. The probe calls it from an event at cycle 1; queued lists the other
+// events pending at that moment, and until > 0 drives the engine with
+// RunUntil(until) instead of Run.
+func TestAdvance(t *testing.T) {
+	cases := []struct {
+		name   string
+		queued []Cycle
+		budget Cycle
+		until  Cycle
+		at     Cycle
+		want   bool
+	}{
+		{name: "empty queue", at: 10, want: true},
+		{name: "event due before at", queued: []Cycle{5}, at: 10},
+		{name: "event due at at", queued: []Cycle{10}, at: 10},
+		{name: "event due after at", queued: []Cycle{11}, at: 10, want: true},
+		{name: "at the budget", budget: 10, at: 10, want: true},
+		{name: "past the budget", budget: 9, at: 10},
+		{name: "at now", at: 1, want: true},
+		{name: "before now", at: 0},
+		{name: "at the RunUntil deadline", until: 10, at: 10, want: true},
+		{name: "past the RunUntil deadline", until: 9, at: 10},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			e := New()
+			e.SetBudget(tc.budget)
+			var got bool
+			var after Cycle
+			e.Schedule(1, func(Cycle) {
+				got = e.Advance(tc.at)
+				after = e.Now()
+			})
+			var fired []Cycle
+			for _, at := range tc.queued {
+				if err := e.ScheduleAt(at, func(now Cycle) { fired = append(fired, now) }); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if tc.until > 0 {
+				e.RunUntil(tc.until)
+			} else if err := e.Run(); err != nil {
+				t.Fatal(err)
+			}
+			if got != tc.want {
+				t.Fatalf("Advance(%d) = %v, want %v", tc.at, got, tc.want)
+			}
+			wantAfter := Cycle(1)
+			if tc.want {
+				wantAfter = tc.at
+			}
+			if after != wantAfter {
+				t.Fatalf("clock after Advance(%d) = %d, want %d", tc.at, after, wantAfter)
+			}
+			// A refused or granted Advance never drops or reorders the
+			// queued events.
+			for i, at := range tc.queued {
+				if i >= len(fired) || fired[i] != at {
+					t.Fatalf("queued events fired at %v, want %v", fired, tc.queued)
+				}
+			}
+			// The deadline lasts only as long as RunUntil.
+			if tc.until > 0 && !e.Advance(tc.until+100) {
+				t.Fatal("RunUntil's deadline outlived the call")
+			}
+		})
+	}
+}
+
 func TestBudget(t *testing.T) {
 	e := New()
 	e.SetBudget(10)

@@ -80,69 +80,76 @@ func (t *Trace) WriteBinary(w io.Writer) error {
 	return bw.Flush()
 }
 
-// ParseBinary decodes a trace written by WriteBinary.
+// minAccessBytes is the size of the smallest encoded access: a flags byte
+// and two one-byte uvarints.
+const minAccessBytes = 3
+
+// ParseBinary decodes a trace written by WriteBinary. It reads r to the end
+// once and decodes from memory, allocating each stream once at its declared
+// length.
 func ParseBinary(r io.Reader) (*Trace, error) {
-	br := bufio.NewReader(r)
-	magic := make([]byte, len(binaryMagic)+1)
-	if _, err := io.ReadFull(br, magic); err != nil {
-		return nil, fmt.Errorf("trace: binary header: %w", err)
+	data, err := io.ReadAll(r)
+	if err != nil {
+		return nil, fmt.Errorf("trace: binary read: %w", err)
 	}
-	if string(magic[:len(binaryMagic)]) != binaryMagic {
+	if len(data) < len(binaryMagic)+1 {
+		return nil, fmt.Errorf("trace: binary header: %w", io.ErrUnexpectedEOF)
+	}
+	if string(data[:len(binaryMagic)]) != binaryMagic {
 		return nil, ErrBadMagic
 	}
-	if magic[len(binaryMagic)] != binaryVersion {
-		return nil, fmt.Errorf("trace: unsupported binary version %d", magic[len(binaryMagic)])
+	if v := data[len(binaryMagic)]; v != binaryVersion {
+		return nil, fmt.Errorf("trace: unsupported binary version %d", v)
 	}
-	nameLen, err := binary.ReadUvarint(br)
+	d := decoder{buf: data, off: len(binaryMagic) + 1}
+	nameLen, err := d.uvarint()
 	if err != nil {
 		return nil, fmt.Errorf("trace: name length: %w", err)
 	}
 	if nameLen > 1<<16 {
 		return nil, fmt.Errorf("trace: implausible name length %d", nameLen)
 	}
-	name := make([]byte, nameLen)
-	if _, err := io.ReadFull(br, name); err != nil {
-		return nil, fmt.Errorf("trace: name: %w", err)
+	if nameLen > uint64(d.left()) {
+		return nil, fmt.Errorf("trace: name: %w", io.ErrUnexpectedEOF)
 	}
-	nCores, err := binary.ReadUvarint(br)
+	name := string(data[d.off : d.off+int(nameLen)])
+	d.off += int(nameLen)
+	nCores, err := d.uvarint()
 	if err != nil {
 		return nil, fmt.Errorf("trace: core count: %w", err)
 	}
 	if nCores > 1<<16 {
 		return nil, fmt.Errorf("trace: implausible core count %d", nCores)
 	}
-	t := &Trace{Name: string(name), Streams: make([]Stream, nCores)}
+	t := &Trace{Name: name, Streams: make([]Stream, nCores)}
 	for c := range t.Streams {
-		count, err := binary.ReadUvarint(br)
+		count, err := d.uvarint()
 		if err != nil {
 			return nil, fmt.Errorf("trace: core %d count: %w", c, err)
 		}
-		if count > 1<<31 {
-			return nil, fmt.Errorf("trace: implausible access count %d", count)
+		// A hostile header must not force a gigantic allocation: a count is
+		// trusted only as far as the remaining input could hold it.
+		if count > 1<<31 || count > uint64(d.left()/minAccessBytes) {
+			return nil, fmt.Errorf("trace: implausible access count %d for %d remaining bytes", count, d.left())
 		}
-		// Preallocate conservatively: a hostile header must not force a
-		// gigantic allocation before the stream proves it has the data.
-		prealloc := count
-		if prealloc > 1<<16 {
-			prealloc = 1 << 16
-		}
-		s := make(Stream, 0, prealloc)
+		s := make(Stream, count)
 		prev := uint64(0)
-		for i := uint64(0); i < count; i++ {
-			flags, err := br.ReadByte()
-			if err != nil {
-				return nil, fmt.Errorf("trace: core %d access %d flags: %w", c, i, err)
+		for i := range s {
+			if d.left() == 0 {
+				return nil, fmt.Errorf("trace: core %d access %d flags: %w", c, i, io.ErrUnexpectedEOF)
 			}
+			flags := data[d.off]
+			d.off++
 			if flags > 1 {
 				return nil, fmt.Errorf("trace: core %d access %d bad flags %#x", c, i, flags)
 			}
-			zz, err := binary.ReadUvarint(br)
+			zz, err := d.uvarint()
 			if err != nil {
 				return nil, fmt.Errorf("trace: core %d access %d addr: %w", c, i, err)
 			}
 			addr := uint64(int64(prev) + unzigzag(zz))
 			prev = addr
-			gap, err := binary.ReadUvarint(br)
+			gap, err := d.uvarint()
 			if err != nil {
 				return nil, fmt.Errorf("trace: core %d access %d gap: %w", c, i, err)
 			}
@@ -156,11 +163,35 @@ func ParseBinary(r io.Reader) (*Trace, error) {
 			if flags&1 != 0 {
 				kind = Write
 			}
-			s = append(s, Access{Addr: addr, Kind: kind, Gap: int64(gap)})
+			s[i] = Access{Addr: addr, Kind: kind, Gap: int64(gap)}
 		}
 		t.Streams[c] = s
 	}
 	return t, nil
+}
+
+// errVarintOverflow reports a uvarint longer than 64 bits.
+var errVarintOverflow = errors.New("varint overflows a 64-bit integer")
+
+// decoder is a read cursor over an in-memory binary trace.
+type decoder struct {
+	buf []byte
+	off int
+}
+
+func (d *decoder) left() int { return len(d.buf) - d.off }
+
+// uvarint decodes the uvarint at the cursor and steps past it.
+func (d *decoder) uvarint() (uint64, error) {
+	v, n := binary.Uvarint(d.buf[d.off:])
+	switch {
+	case n > 0:
+		d.off += n
+		return v, nil
+	case n == 0:
+		return 0, io.ErrUnexpectedEOF
+	}
+	return 0, errVarintOverflow
 }
 
 // zigzag maps signed deltas to unsigned varint-friendly values.

@@ -2,9 +2,13 @@ package trace
 
 import (
 	"bytes"
+	"encoding/binary"
+	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
 func TestBinaryRoundTrip(t *testing.T) {
@@ -69,6 +73,53 @@ func TestBinaryRejectsGarbage(t *testing.T) {
 	if _, err := ParseBinary(&buf); err == nil || !strings.Contains(err.Error(), "implausible") {
 		t.Fatalf("huge core count accepted: %v", err)
 	}
+	// So is an access count the remaining bytes cannot hold, before the
+	// stream is allocated.
+	in := binary.AppendUvarint([]byte("CTRB\x01\x00\x01"), 1<<31-1) // empty name, one core
+	in = append(in, 0, 2, 0, 1, 4, 0)                               // two accesses' worth
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := ParseBinary(bytes.NewReader(in))
+	runtime.ReadMemStats(&after)
+	if err == nil || !strings.Contains(err.Error(), "implausible") {
+		t.Fatalf("huge access count accepted: %v", err)
+	}
+	if d := after.TotalAlloc - before.TotalAlloc; d > 64<<10 {
+		t.Fatalf("rejecting a huge access count allocated %d bytes", d)
+	}
+}
+
+// TestBinaryDecodeAllocation bounds what one decode allocates by twice the
+// encoded input plus the decoded streams: the input is read once and each
+// stream is allocated once, at its declared length.
+func TestBinaryDecodeAllocation(t *testing.T) {
+	const n = 300_000
+	s := make(Stream, n)
+	for i := range s {
+		s[i] = Access{Addr: 0x10000 + uint64(i*7919%4096)*64, Kind: Kind(i % 3 / 2), Gap: int64(i % 13)}
+	}
+	var buf bytes.Buffer
+	if err := (&Trace{Name: "alloc", Streams: []Stream{s}}).WriteBinary(&buf); err != nil {
+		t.Fatal(err)
+	}
+	enc := buf.Bytes()
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	got, err := ParseBinary(bytes.NewReader(enc))
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got.Streams, []Stream{s}) {
+		t.Fatal("decoded stream differs from the encoded one")
+	}
+	size := uint64(len(enc)) + uint64(unsafe.Sizeof(Access{}))*n
+	alloc := after.TotalAlloc - before.TotalAlloc
+	if alloc > 2*size {
+		t.Fatalf("decode allocated %d bytes, %.2fx the %d encoded + decoded bytes (limit 2x)", alloc, float64(alloc)/float64(size), size)
+	}
+	t.Logf("decode allocated %d bytes, %.2fx the %d encoded + decoded bytes", alloc, float64(alloc)/float64(size), size)
 }
 
 // Property: binary codec round-trips arbitrary streams, including large
