@@ -65,6 +65,14 @@ go run ./cmd/cohort-bench -run fig5a -j 1 -scale 0.01 -cap 800 -benches fft,wate
 go run ./cmd/cohort-bench -run fig5a -j 8 -scale 0.01 -cap 800 -benches fft,water -pop 8 -gens 6 -out-dir "$obsdir" >/dev/null 2>&1
 go run ./cmd/cohort-report -dir "$obsdir" -check >/dev/null
 
+echo "==> cohort-bench -run all pair (shared trace memo under concurrent runners: -j 1 and -j 8)"
+# Default sizes, in a subdirectory of its own: the manifest loader does not
+# recurse, so the perf-smoke fingerprint diff below never sees these runs.
+alldir="$obsdir/run-all"
+go run ./cmd/cohort-bench -run all -j 1 -out-dir "$alldir" >/dev/null 2>&1
+go run ./cmd/cohort-bench -run all -j 8 -out-dir "$alldir" >/dev/null 2>&1
+go run ./cmd/cohort-report -dir "$alldir" -check >/dev/null
+
 echo "==> perf smoke (bit-identical fingerprints vs pre-overhaul goldens)"
 go run ./cmd/cohort-report -dir "$obsdir" -fingerprints > "$obsdir/fingerprints.txt"
 diff cmd/cohort-report/testdata/perf-smoke.fingerprints "$obsdir/fingerprints.txt"

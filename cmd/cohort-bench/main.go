@@ -303,6 +303,9 @@ func run(args []string, stdout io.Writer, clk obs.Clock) error {
 		sreg.Gauge("memo_jobs_total").Set(engine.Jobs)
 		sreg.Gauge("memo_cache_hits").Set(engine.CacheHits)
 		sreg.Gauge("memo_cache_misses").Set(engine.CacheMisses)
+		generated, reused := experiments.TraceMemoStats()
+		sreg.Gauge("memo_traces_generated").Set(generated)
+		sreg.Gauge("memo_traces_reused").Set(reused)
 		log.Infof("cohort-bench memo:\n%s", strings.TrimSuffix(sreg.Snapshot().String(), "\n"))
 	}
 	if man != nil {

@@ -99,9 +99,10 @@ func (o *Options) profiles() ([]trace.Profile, error) {
 	return out, nil
 }
 
-// generate produces the trace for one profile.
+// generate returns the trace for one profile, shared process-wide through
+// the trace memo (memo.go).
 func (o *Options) generate(p trace.Profile) *trace.Trace {
-	return p.Generate(o.NCores, 64, o.Seed)
+	return generateTrace(p, o.NCores, 64, o.Seed)
 }
 
 // profile resolves one named profile with the options' sizing applied.

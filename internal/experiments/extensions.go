@@ -117,7 +117,7 @@ func ExtensionScalability(o Options, benchmark string, theta config.Timer, coreC
 		if n < 1 {
 			return ScalabilityRow{}, fmt.Errorf("experiments: core count %d", n)
 		}
-		tr := p.Generate(n, 64, o.Seed)
+		tr := generateTrace(p, n, 64, o.Seed)
 		timers := make([]config.Timer, n)
 		for i := range timers {
 			timers[i] = theta

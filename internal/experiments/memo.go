@@ -1,8 +1,11 @@
 package experiments
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
 	"encoding/json"
 	"fmt"
+	"io"
 	"sync"
 
 	"cohort/internal/config"
@@ -22,23 +25,39 @@ import (
 // so serving a cached pointer is observationally identical to recomputing
 // (callers treat the results as read-only).
 //
+// The runners also share their inputs: each generates the traces of its
+// profiles, so traceMemo keeps one trace per set of generating parameters
+// and fpCache one digest per distinct trace.
+//
 // The memo is probed by concurrently running cells, so while its totals are
 // exact, the hit/miss split can differ run to run when two cells race to
 // compute the same key. Rendered experiment output therefore never includes
-// these counters; they are reported out-of-band via MemoStats.
+// these counters; they are reported out-of-band via MemoStats and
+// TraceMemoStats.
 var (
-	runMemo = parallel.NewCache[*stats.Run]()
-	optMemo = parallel.NewCache[*opt.Result]()
+	runMemo   = parallel.NewCache[string, *stats.Run]()
+	optMemo   = parallel.NewCache[string, *opt.Result]()
+	traceMemo = parallel.NewCache[traceKey, *trace.Trace]()
 
 	fpMu    sync.Mutex
 	fpCache = map[*trace.Trace]string{}
 )
 
-// ResetMemo drops every memoized result. The serial-equivalence tests call
-// it between runs so each compares from a cold cache.
+// traceKey is everything that defines a generated trace: Profile.Generate
+// is a pure function of these four values.
+type traceKey struct {
+	profile   trace.Profile
+	nCores    int
+	lineBytes int
+	seed      uint64
+}
+
+// ResetMemo drops every memoized result and trace. The serial-equivalence
+// tests call it between runs so each compares from a cold cache.
 func ResetMemo() {
 	runMemo.Reset()
 	optMemo.Reset()
+	traceMemo.Reset()
 	fpMu.Lock()
 	fpCache = map[*trace.Trace]string{}
 	fpMu.Unlock()
@@ -54,9 +73,30 @@ func MemoStats() stats.EngineStats {
 	}
 }
 
+// TraceMemoStats reports how many traces the process generated and how many
+// requests the trace memo served from an earlier generation. Like MemoStats,
+// the split is scheduling-dependent under concurrent runners.
+func TraceMemoStats() (generated, reused int64) {
+	s := traceMemo.Stats()
+	return s.CacheMisses, s.CacheHits
+}
+
+// generateTrace returns p.Generate(nCores, lineBytes, seed), generating it
+// once per process. Generation runs outside the memo's lock, so concurrent
+// runners still generate distinct traces in parallel; callers treat the
+// shared trace as read-only.
+func generateTrace(p trace.Profile, nCores, lineBytes int, seed uint64) *trace.Trace {
+	return traceMemo.GetOrCompute(traceKey{p, nCores, lineBytes, seed}, func() *trace.Trace {
+		return p.Generate(nCores, lineBytes, seed)
+	})
+}
+
 // traceFingerprint content-addresses a trace by digesting every access of
 // every stream. The digest is cached per *Trace (traces are immutable after
-// generation), so each trace is hashed once per process.
+// generation), so each trace is hashed once per process. The bytes hashed
+// are exactly those a parallel.Key("experiments/trace") would frame — name,
+// stream count, then each stream's length and access records — streamed
+// through SHA-256 instead of buffered.
 func traceFingerprint(tr *trace.Trace) string {
 	fpMu.Lock()
 	fp, ok := fpCache[tr]
@@ -64,18 +104,24 @@ func traceFingerprint(tr *trace.Trace) string {
 	if ok {
 		return fp
 	}
-	k := parallel.NewKey("experiments/trace")
-	k.Str(tr.Name)
-	k.Int(len(tr.Streams))
-	for _, s := range tr.Streams {
-		k.Int(len(s))
-		for _, a := range s {
-			k.Uint64(a.Addr)
-			k.Int64(int64(a.Kind))
-			k.Int64(a.Gap)
-		}
+	h := sha256.New()
+	var word [8]byte
+	putInt := func(v int) {
+		binary.LittleEndian.PutUint64(word[:], uint64(v))
+		h.Write(word[:])
 	}
-	fp = k.Sum()
+	putStr := func(s string) {
+		putInt(len(s))
+		io.WriteString(h, s)
+	}
+	putStr("experiments/trace")
+	putStr(tr.Name)
+	putInt(len(tr.Streams))
+	for _, s := range tr.Streams {
+		putInt(len(s))
+		trace.HashStream(h, s)
+	}
+	fp = string(h.Sum(nil))
 	fpMu.Lock()
 	fpCache[tr] = fp
 	fpMu.Unlock()

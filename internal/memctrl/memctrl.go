@@ -13,6 +13,7 @@ import (
 
 // LLC is the shared last-level cache controller.
 type LLC struct {
+	// arr is the cache array; nil in perfect mode, which never reads it.
 	arr     *cache.Cache
 	perfect bool
 	dramLat int64
@@ -36,14 +37,15 @@ type LLC struct {
 }
 
 // New builds an LLC from its geometry. When perfect is true every fetch
-// hits; dramLat is the penalty added on a miss otherwise.
+// hits and no array is allocated; dramLat is the penalty added on a miss
+// otherwise.
 func New(geom config.CacheGeometry, perfect bool, dramLat int64) *LLC {
-	l := &LLC{
-		arr:      cache.New(geom.SizeBytes, geom.LineBytes, geom.Ways),
-		perfect:  perfect,
-		dramLat:  dramLat,
-		bypassed: make(map[uint64]bool),
+	l := &LLC{perfect: perfect, dramLat: dramLat}
+	if perfect {
+		return l
 	}
+	l.arr = cache.New(geom.SizeBytes, geom.LineBytes, geom.Ways)
+	l.bypassed = make(map[uint64]bool)
 	l.pinAdapter = func(e *cache.Entry) bool {
 		return l.curPinned != nil && l.curPinned(e.LineAddr)
 	}
@@ -147,8 +149,8 @@ func (l *LLC) Contains(lineAddr uint64) bool {
 }
 
 // Array exposes the underlying cache array for read-only state snapshots
-// (the exhaustive model checker's canonical encoding). In perfect mode the
-// array is unused and stays empty.
+// (the exhaustive model checker's canonical encoding). It is nil in perfect
+// mode, which holds no array.
 func (l *LLC) Array() *cache.Cache { return l.arr }
 
 // Stats returns the controller's counters.
@@ -163,6 +165,11 @@ func (l *LLC) RegisterMetrics(reg *obs.Registry) {
 	reg.RegisterCounter("llc_misses", &l.misses)
 	reg.RegisterCounter("llc_evictions", &l.evictions)
 	reg.RegisterCounter("llc_bypasses", &l.bypasses)
-	reg.RegisterFunc("llc_valid_lines", func() int64 { return int64(l.arr.CountValid()) })
+	reg.RegisterFunc("llc_valid_lines", func() int64 {
+		if l.arr == nil {
+			return 0
+		}
+		return int64(l.arr.CountValid())
+	})
 	reg.RegisterFunc("llc_bypassed_lines", func() int64 { return int64(len(l.bypassed)) })
 }

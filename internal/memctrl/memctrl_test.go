@@ -1,9 +1,11 @@
 package memctrl
 
 import (
+	"runtime"
 	"testing"
 
 	"cohort/internal/config"
+	"cohort/internal/obs"
 )
 
 func smallGeom() config.CacheGeometry {
@@ -140,5 +142,37 @@ func TestPerfectAccessor(t *testing.T) {
 	}
 	if New(smallGeom(), false, 1).Perfect() {
 		t.Fatal("non-perfect LLC reported perfect")
+	}
+}
+
+// perfectSink keeps the LLCs built by TestPerfectLLCHoldsNoArray on the heap.
+var perfectSink *LLC
+
+// TestPerfectLLCHoldsNoArray checks that a perfect LLC allocates no cache
+// array (the paper platform's would be 1.3 MB) and reports no valid lines.
+// TestPerfectLLCAlwaysHits covers its answers to Fetch, WriteBack and
+// Contains, which must never touch the missing array.
+func TestPerfectLLCHoldsNoArray(t *testing.T) {
+	geom := config.PaperDefaults(4, 1).LLC
+	l := New(geom, true, 100)
+	if l.Array() != nil {
+		t.Fatal("perfect LLC holds a cache array")
+	}
+	l.Fetch(7, 0, nil)
+	reg := obs.NewRegistry()
+	l.RegisterMetrics(reg)
+	if m, ok := reg.Snapshot().Get("llc_valid_lines"); !ok || m.Value != 0 {
+		t.Fatalf("llc_valid_lines = %+v (registered %v), want 0", m, ok)
+	}
+
+	const n = 100
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	for i := 0; i < n; i++ {
+		perfectSink = New(geom, true, 100)
+	}
+	runtime.ReadMemStats(&m1)
+	if per := (m1.TotalAlloc - m0.TotalAlloc) / n; per >= 1024 {
+		t.Fatalf("perfect New allocated %d bytes, want < 1 KiB", per)
 	}
 }

@@ -7,7 +7,6 @@ package opt
 
 import (
 	"crypto/sha256"
-	"encoding/binary"
 
 	"cohort/internal/analysis"
 	"cohort/internal/config"
@@ -21,7 +20,7 @@ import (
 // repeatedly analyze the same stream content, so every regime is replayed
 // once per distinct (stream, platform) pair per process. A set holds only
 // its intervals, never the stream.
-var curveMemo = parallel.NewCache[*analysis.RegimeSet]()
+var curveMemo = parallel.NewCache[string, *analysis.RegimeSet]()
 
 // ResetCurveCache drops every cached regime set. Equivalence tests call it
 // to compare cold-cache runs.
@@ -30,23 +29,10 @@ func ResetCurveCache() {
 }
 
 // streamFingerprint content-addresses a stream: a SHA-256 over every
-// access, fed through a fixed buffer so the pass allocates nothing per
-// access.
+// access record (trace.HashStream).
 func streamFingerprint(s trace.Stream) string {
 	h := sha256.New()
-	var buf [64 * 24]byte
-	n := 0
-	for i := range s {
-		a := &s[i]
-		binary.LittleEndian.PutUint64(buf[n:], a.Addr)
-		binary.LittleEndian.PutUint64(buf[n+8:], uint64(a.Kind))
-		binary.LittleEndian.PutUint64(buf[n+16:], uint64(a.Gap))
-		if n += 24; n == len(buf) {
-			h.Write(buf[:])
-			n = 0
-		}
-	}
-	h.Write(buf[:n])
+	trace.HashStream(h, s)
 	return string(h.Sum(nil))
 }
 

@@ -1,6 +1,7 @@
 package opt
 
 import (
+	"encoding/hex"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -8,6 +9,7 @@ import (
 
 	"cohort/internal/config"
 	"cohort/internal/parallel"
+	"cohort/internal/trace"
 )
 
 // Property tests for the invariants parallel evaluation must not disturb:
@@ -110,6 +112,31 @@ func TestEvaluatorCoreMemoDeterministic(t *testing.T) {
 	for _, workers := range []int{4, 8} {
 		if got := run(workers); !reflect.DeepEqual(got, ref) {
 			t.Fatalf("workers %d: evaluator state differs from workers 1", workers)
+		}
+	}
+}
+
+// TestCurveKeyPinned pins the regime-set key of fixed streams on the paper
+// platform, so a change to the shared access encoding (trace.HashStream)
+// cannot silently move the optimizer's cache keys. The long stream spans
+// two flushes of the encoder's buffer.
+func TestCurveKeyPinned(t *testing.T) {
+	lat := config.Latencies{Hit: 1, Req: 4, Data: 50, DRAM: 100}
+	geom := config.CacheGeometry{SizeBytes: 16 * 1024, LineBytes: 64, Ways: 1}
+	long := make(trace.Stream, 150)
+	for i := range long {
+		long[i] = trace.Access{Addr: uint64(i) * 0x9E3779B97F4A7C15, Kind: trace.Kind(i % 2), Gap: int64(i * i)}
+	}
+	for _, c := range []struct {
+		name string
+		s    trace.Stream
+		want string
+	}{
+		{"long", long, "254eadc84d89820237361fa30567120461bfbbd18737376fbb9812847804b97e"},
+		{"empty", nil, "c998fd9dcfe4a95728b61501a8a5c80ca7b7cd7b606605b8440b4a8faccae687"},
+	} {
+		if got := hex.EncodeToString([]byte(curveKey(c.s, geom, lat))); got != c.want {
+			t.Errorf("%s stream: curveKey %s, want %s", c.name, got, c.want)
 		}
 	}
 }

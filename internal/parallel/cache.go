@@ -10,28 +10,29 @@ import (
 )
 
 // Cache is a content-addressed memo cache for evaluation results: the key is
-// a digest of everything that defines the computation (profile, scenario,
-// timer vector — see Key), so identical requests are never re-simulated.
+// everything that defines the computation — a digest of the profile,
+// scenario and timer vector (see Key), or any comparable value that holds
+// all of it — so identical requests are never recomputed.
 // Correctness rests on jobs being pure: the cached value for a key must be
 // byte-identical to recomputing it, which makes a cache hit observationally
 // equivalent to a miss and keeps every output independent of cache state.
 //
 // The zero value is not usable; construct with NewCache. All methods are safe
 // for concurrent use.
-type Cache[V any] struct {
+type Cache[K comparable, V any] struct {
 	mu           sync.Mutex
-	m            map[string]V
+	m            map[K]V
 	hits, misses int64
 }
 
 // NewCache returns an empty cache.
-func NewCache[V any]() *Cache[V] {
-	return &Cache[V]{m: make(map[string]V)}
+func NewCache[K comparable, V any]() *Cache[K, V] {
+	return &Cache[K, V]{m: make(map[K]V)}
 }
 
 // Get returns the cached value for key and counts the probe as a hit or a
 // miss.
-func (c *Cache[V]) Get(key string) (V, bool) {
+func (c *Cache[K, V]) Get(key K) (V, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	v, ok := c.m[key]
@@ -45,7 +46,7 @@ func (c *Cache[V]) Get(key string) (V, bool) {
 
 // Put stores the value for key. Racing writers for the same key are harmless:
 // purity guarantees they store identical values.
-func (c *Cache[V]) Put(key string, v V) {
+func (c *Cache[K, V]) Put(key K, v V) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.m[key] = v
@@ -55,7 +56,7 @@ func (c *Cache[V]) Put(key string, v V) {
 // on a miss. compute runs outside the cache lock, so concurrent callers may
 // compute the same key redundantly; purity makes the race harmless — both
 // store identical values (see Put). The probe is counted exactly once.
-func (c *Cache[V]) GetOrCompute(key string, compute func() V) V {
+func (c *Cache[K, V]) GetOrCompute(key K, compute func() V) V {
 	if v, ok := c.Get(key); ok {
 		return v
 	}
@@ -65,7 +66,7 @@ func (c *Cache[V]) GetOrCompute(key string, compute func() V) V {
 }
 
 // Len returns the number of cached entries.
-func (c *Cache[V]) Len() int {
+func (c *Cache[K, V]) Len() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return len(c.m)
@@ -74,15 +75,15 @@ func (c *Cache[V]) Len() int {
 // Reset drops every entry and zeroes the counters. The serial-equivalence
 // tests call this between the -j 1 and -j N runs so both compute from a cold
 // cache.
-func (c *Cache[V]) Reset() {
+func (c *Cache[K, V]) Reset() {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.m = make(map[string]V)
+	c.m = make(map[K]V)
 	c.hits, c.misses = 0, 0
 }
 
 // Stats returns the probe counters.
-func (c *Cache[V]) Stats() stats.EngineStats {
+func (c *Cache[K, V]) Stats() stats.EngineStats {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return stats.EngineStats{

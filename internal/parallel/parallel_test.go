@@ -158,7 +158,7 @@ func TestJobSeedIndependence(t *testing.T) {
 }
 
 func TestCacheHitMiss(t *testing.T) {
-	c := NewCache[int]()
+	c := NewCache[string, int]()
 	k1 := NewKey("test").Int(1).Sum()
 	k2 := NewKey("test").Int(2).Sum()
 
@@ -215,7 +215,7 @@ func TestKeyNoAliasing(t *testing.T) {
 }
 
 func TestCacheConcurrent(t *testing.T) {
-	c := NewCache[int]()
+	c := NewCache[string, int]()
 	Map(8, 200, func(i int) int {
 		k := NewKey("cc").Int(i % 10).Sum()
 		if v, ok := c.Get(k); ok {

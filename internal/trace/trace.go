@@ -13,7 +13,9 @@ package trace
 
 import (
 	"bufio"
+	"encoding/binary"
 	"fmt"
+	"hash"
 	"io"
 	"strconv"
 	"strings"
@@ -50,6 +52,26 @@ type Access struct {
 
 // Stream is the ordered access sequence of one core.
 type Stream []Access
+
+// HashStream writes every access of s to h as a 24-byte little-endian
+// record (address, kind, gap), fed through a fixed buffer so the pass
+// allocates nothing per access. It is the one access encoding behind every
+// content fingerprint of a stream.
+func HashStream(h hash.Hash, s Stream) {
+	var buf [64 * 24]byte
+	n := 0
+	for i := range s {
+		a := &s[i]
+		binary.LittleEndian.PutUint64(buf[n:], a.Addr)
+		binary.LittleEndian.PutUint64(buf[n+8:], uint64(a.Kind))
+		binary.LittleEndian.PutUint64(buf[n+16:], uint64(a.Gap))
+		if n += 24; n == len(buf) {
+			h.Write(buf[:])
+			n = 0
+		}
+	}
+	h.Write(buf[:n])
+}
 
 // Trace is a complete multi-core workload: one stream per core.
 type Trace struct {
