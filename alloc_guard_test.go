@@ -9,7 +9,7 @@ import (
 
 // TestAllocationCeiling pins the simulation kernel's allocation count and
 // volume: one full system construction plus run must stay under ceilings
-// set just above the measured values (~178 allocs and ~114 KB for this
+// set just above the measured values (~174 allocs and ~88 KB for this
 // workload, dominated by one-time setup — trace copies, L1 arrays,
 // event-queue backing). The pre-overhaul kernel took ~38,000 allocs on the
 // same workload, so the count guard trips long before boxing or per-event

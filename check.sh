@@ -77,6 +77,24 @@ echo "==> perf smoke (bit-identical fingerprints vs pre-overhaul goldens)"
 go run ./cmd/cohort-report -dir "$obsdir" -fingerprints > "$obsdir/fingerprints.txt"
 diff cmd/cohort-report/testdata/perf-smoke.fingerprints "$obsdir/fingerprints.txt"
 
+echo "==> file-backed trace decode smoke (text and binary files print identical reports)"
+# A radix trace under -check: the *os.File decode of both formats, release
+# rounds across three mode switches, and the invariant checker. -check
+# sweeps the 32,768-entry LLC array per transaction, so the run that reaches
+# LLC evictions (radix at scale 14) goes without it and is compared with
+# the same trace generated in memory.
+go build -o "$obsdir/" ./cmd/cohort-trace ./cmd/cohort-sim
+sim="-nonperfect -levels 4 -timers 300,20,20,20"
+"$obsdir/cohort-trace" -bench radix -scale 0.25 -out "$obsdir/radix.trace" 2>/dev/null
+"$obsdir/cohort-trace" -bench radix -scale 0.25 -binary -out "$obsdir/radix.ctrb" 2>/dev/null
+"$obsdir/cohort-sim" -trace "$obsdir/radix.trace" -check $sim -switch 100000:2,200000:3,300000:4 > "$obsdir/radix.text.out"
+"$obsdir/cohort-sim" -trace "$obsdir/radix.ctrb" -check $sim -switch 100000:2,200000:3,300000:4 > "$obsdir/radix.binary.out"
+diff "$obsdir/radix.text.out" "$obsdir/radix.binary.out"
+"$obsdir/cohort-trace" -bench radix -scale 14 -binary -out "$obsdir/radix14.ctrb" 2>/dev/null
+"$obsdir/cohort-sim" -trace "$obsdir/radix14.ctrb" $sim -switch 10000000:2,20000000:3,30000000:4 > "$obsdir/radix14.file.out"
+"$obsdir/cohort-sim" -bench radix -scale 14 $sim -switch 10000000:2,20000000:3,30000000:4 > "$obsdir/radix14.generated.out"
+diff "$obsdir/radix14.generated.out" "$obsdir/radix14.file.out"
+
 echo "==> live debug-server smoke (/healthz, /metrics, /runs, pprof mid-run)"
 go build -o "$obsdir/cohort-bench" ./cmd/cohort-bench
 "$obsdir/cohort-bench" -run fig5a,attribution -j 2 -scale 1 -cap 0 -pop 24 -gens 24 \

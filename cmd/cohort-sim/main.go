@@ -12,11 +12,12 @@
 package main
 
 import (
-	"bufio"
 	"encoding/hex"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strconv"
 	"strings"
@@ -29,46 +30,96 @@ import (
 )
 
 func main() {
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// usageError is a flag value the simulation rejects. It exits 2, as a flag
+// the flag package cannot parse does.
+type usageError struct{ error }
+
+func usagef(format string, a ...any) error { return usageError{fmt.Errorf(format, a...)} }
+
+// errFlagSyntax reports flags the flag package rejected; it has already
+// printed why, with the usage.
+var errFlagSyntax = errors.New("bad flags")
+
+// run executes one simulation, writing its report to stdout and
+// diagnostics to stderr, and returns the exit status: 0 on success, 2 for a
+// bad flag, 1 for any other failure.
+func run(args []string, stdout, stderr io.Writer) int {
+	err := simulate(args, stdout, stderr)
+	switch {
+	case err == nil || errors.Is(err, flag.ErrHelp):
+		return 0
+	case errors.Is(err, errFlagSyntax):
+		return 2
+	}
+	fmt.Fprintln(stderr, "cohort-sim:", err)
+	if errors.As(err, new(usageError)) {
+		return 2
+	}
+	return 1
+}
+
+func simulate(args []string, stdout, stderr io.Writer) error {
+	fs := flag.NewFlagSet("cohort-sim", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	cu := cliutil.New("cohort-sim")
-	cu.RegisterObs(flag.CommandLine)
-	cu.RegisterProfile(flag.CommandLine)
+	cu.RegisterObs(fs)
+	cu.RegisterProfile(fs)
 	var (
-		bench      = flag.String("bench", "fft", "benchmark profile (ignored with -trace)")
-		traceFile  = flag.String("trace", "", "read the workload from this trace file (text or binary)")
-		dinFiles   = flag.String("din", "", "comma-separated Dinero (.din) files, one per core")
-		cores      = flag.Int("cores", 4, "number of cores")
-		scale      = flag.Float64("scale", 0.05, "access-count scale factor")
-		seed       = flag.Uint64("seed", 42, "trace generator seed")
-		system     = flag.String("system", "cohort", "platform: cohort | pcc | pendulum | msifcfs")
-		timers     = flag.String("timers", "", "comma-separated per-core timers for cohort (e.g. 300,20,20,-1)")
-		crit       = flag.String("crit", "", "comma-separated 0/1 criticality mask for pendulum (default: all critical)")
-		nonperfect = flag.Bool("nonperfect", false, "use the non-perfect LLC with a fixed-latency DRAM")
-		switches   = flag.String("switch", "", "scheduled mode switches as cycle:mode[,cycle:mode...] (cohort with levels)")
-		levels     = flag.Int("levels", 1, "number of criticality levels/modes")
-		mesi       = flag.Bool("mesi", false, "use the MESI snooping protocol instead of MSI")
-		hist       = flag.Bool("hist", false, "print per-core latency histograms")
-		hwOverhead = flag.Bool("hwcost", false, "print the CoHoRT hardware-overhead report")
-		vcdFile    = flag.String("vcd", "", "write a Value Change Dump of the run to this file")
-		checkInv   = flag.Bool("check", false, "validate protocol invariants after every bus transaction (slower)")
-		chromeFile = flag.String("chrome", "", "write a Chrome trace (Perfetto) of the run to this file")
-		attr       = flag.Bool("attr", false, "register the per-core WCML latency-attribution metrics (with -out-dir: included in the manifest snapshot)")
+		bench      = fs.String("bench", "fft", "benchmark profile (ignored with -trace)")
+		traceFile  = fs.String("trace", "", "read the workload from this trace file (text or binary)")
+		dinFiles   = fs.String("din", "", "comma-separated Dinero (.din) files, one per core")
+		cores      = fs.Int("cores", 4, "number of cores")
+		scale      = fs.Float64("scale", 0.05, "access-count scale factor")
+		seed       = fs.Uint64("seed", 42, "trace generator seed")
+		system     = fs.String("system", "cohort", "platform: cohort | pcc | pendulum | msifcfs")
+		timers     = fs.String("timers", "", "comma-separated per-core timers for cohort (e.g. 300,20,20,-1)")
+		crit       = fs.String("crit", "", "comma-separated 0/1 criticality mask for pendulum (default: all critical)")
+		nonperfect = fs.Bool("nonperfect", false, "use the non-perfect LLC with a fixed-latency DRAM")
+		switches   = fs.String("switch", "", "scheduled mode switches as cycle:mode[,cycle:mode...] (cohort with levels)")
+		levels     = fs.Int("levels", 1, "number of criticality levels/modes")
+		mesi       = fs.Bool("mesi", false, "use the MESI snooping protocol instead of MSI")
+		hist       = fs.Bool("hist", false, "print per-core latency histograms")
+		hwOverhead = fs.Bool("hwcost", false, "print the CoHoRT hardware-overhead report")
+		vcdFile    = fs.String("vcd", "", "write a Value Change Dump of the run to this file")
+		checkInv   = fs.Bool("check", false, "validate protocol invariants after every bus transaction (slower)")
+		chromeFile = fs.String("chrome", "", "write a Chrome trace (Perfetto) of the run to this file")
+		attr       = fs.Bool("attr", false, "register the per-core WCML latency-attribution metrics (with -out-dir: included in the manifest snapshot)")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return err
+		}
+		return errFlagSyntax
+	}
+	// Reject values no simulation can use before any work.
+	switch {
+	case *cores < 1:
+		return usagef("-cores must be positive, got %d", *cores)
+	case *scale <= 0:
+		return usagef("-scale must be positive, got %v", *scale)
+	case *levels < 1:
+		return usagef("-levels must be at least 1, got %d", *levels)
+	case *crit != "" && *system != "pendulum":
+		return usagef("-crit applies only to -system pendulum, not %q", *system)
+	}
 
 	clk := obs.Clock(obs.WallClock{})
-	log, err := cu.Logger(os.Stderr, clk)
+	log, err := cu.Logger(stderr, clk)
 	if err != nil {
-		fatal(err)
+		return usageError{err}
 	}
 	stopProfiles, err := cu.StartProfiles(log)
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	defer stopProfiles()
 
 	tr, err := loadTrace(*traceFile, *dinFiles, *bench, *cores, *scale, *seed)
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	n := tr.NumCores()
 
@@ -77,24 +128,24 @@ func main() {
 	case "cohort":
 		ths, err := parseTimers(*timers, n)
 		if err != nil {
-			fatal(err)
+			return usageError{err}
 		}
 		cfg, err = cohort.NewCoHoRT(n, *levels, ths)
 		if err != nil {
-			fatal(err)
+			return err
 		}
 	case "pcc":
 		cfg = cohort.NewPCC(n)
 	case "pendulum":
 		mask, err := parseMask(*crit, n)
 		if err != nil {
-			fatal(err)
+			return usageError{err}
 		}
 		cfg = cohort.NewPENDULUM(mask)
 	case "msifcfs":
 		cfg = cohort.NewMSIFCFS(n)
 	default:
-		fatal(fmt.Errorf("unknown system %q", *system))
+		return usagef("unknown -system %q", *system)
 	}
 	if *nonperfect {
 		cfg.PerfectLLC = false
@@ -108,11 +159,11 @@ func main() {
 
 	bounds, err := cohort.Bounds(cfg, tr)
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	sys, err := cohort.NewSystem(cfg, tr)
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	var (
 		reg *obs.Registry
@@ -121,11 +172,11 @@ func main() {
 	if cu.OutDir != "" {
 		reg = obs.NewRegistry()
 		if err := sys.SetMetrics(reg); err != nil {
-			fatal(err)
+			return err
 		}
 		if *attr {
 			if err := sys.RegisterAttribution(reg); err != nil {
-				fatal(err)
+				return err
 			}
 		}
 	}
@@ -138,31 +189,32 @@ func main() {
 	tracker := obs.NewRunTracker(clk)
 	rh := tracker.Register("cohort-sim", tr.Name)
 	if err := sys.SetProgress(rh); err != nil {
-		fatal(err)
+		return err
 	}
 	srv, err := cu.StartServer(nil, tracker, log)
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	defer srv.Close()
 	if *chromeFile != "" {
 		rec = obs.NewRecorder()
 		if err := sys.SetRecorder(rec); err != nil {
-			fatal(err)
+			return err
 		}
 	}
 	var closeVCD func() error
 	if *vcdFile != "" {
 		f, err := os.Create(*vcdFile)
 		if err != nil {
-			fatal(err)
+			return err
 		}
+		defer f.Close()
 		rec, err := cohort.NewVCDRecorder(f, n)
 		if err != nil {
-			fatal(err)
+			return err
 		}
 		if err := sys.SetTracer(rec); err != nil {
-			fatal(err)
+			return err
 		}
 		closeVCD = func() error {
 			if err := rec.Close(); err != nil {
@@ -175,79 +227,80 @@ func main() {
 		for _, part := range strings.Split(*switches, ",") {
 			cm := strings.SplitN(part, ":", 2)
 			if len(cm) != 2 {
-				fatal(fmt.Errorf("bad -switch entry %q (want cycle:mode)", part))
+				return usagef("bad -switch entry %q (want cycle:mode)", part)
 			}
 			cyc, err1 := strconv.ParseInt(cm[0], 10, 64)
 			mode, err2 := strconv.Atoi(cm[1])
 			if err1 != nil || err2 != nil {
-				fatal(fmt.Errorf("bad -switch entry %q", part))
+				return usagef("bad -switch entry %q", part)
 			}
 			if err := sys.ScheduleModeSwitch(cyc, mode); err != nil {
-				fatal(err)
+				return usagef("-switch: %w", err)
 			}
 		}
 	}
 	run, err := sys.Run()
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	rh.Finish()
 	if err := sys.CheckCoherence(); err != nil {
-		fatal(fmt.Errorf("coherence check failed: %w", err))
+		return fmt.Errorf("coherence check failed: %w", err)
 	}
 
-	fmt.Printf("workload %s on %s (%d cores, arbiter %s, %s transfers, perfect LLC %v)\n",
+	fmt.Fprintf(stdout, "workload %s on %s (%d cores, arbiter %s, %s transfers, perfect LLC %v)\n",
 		tr.Name, *system, n, cfg.Arbiter, cfg.Transfer, cfg.PerfectLLC)
-	fmt.Print(run)
-	fmt.Println("per-core WCML (measured vs analytical bound):")
+	fmt.Fprint(stdout, run)
+	fmt.Fprintln(stdout, "per-core WCML (measured vs analytical bound):")
 	for i := range run.Cores {
 		b := bounds[i]
 		bound := "unbounded"
 		if b.WCMLBound != cohort.Unbounded {
 			bound = fmt.Sprintf("%d", b.WCMLBound)
 		}
-		fmt.Printf("  core %d (θ=%v): measured %d, bound %s, guaranteed hits %d (achieved %d)\n",
+		fmt.Fprintf(stdout, "  core %d (θ=%v): measured %d, bound %s, guaranteed hits %d (achieved %d)\n",
 			i, b.Theta, run.Cores[i].TotalLatency, bound, b.MHit, run.Cores[i].Hits)
 	}
 	if *hist {
 		for i := range run.Cores {
-			fmt.Printf("core %d latency distribution:\n%s", i, run.Cores[i].Latency.String())
+			fmt.Fprintf(stdout, "core %d latency distribution:\n%s", i, run.Cores[i].Latency.String())
 		}
 	}
 	if *hwOverhead {
 		rep, err := cohort.HardwareCost(cfg)
 		if err != nil {
-			fatal(err)
+			return err
 		}
-		fmt.Println(rep)
+		fmt.Fprintln(stdout, rep)
 	}
 	if closeVCD != nil {
 		if err := closeVCD(); err != nil {
-			fatal(err)
+			return err
 		}
 		log.Infof("wrote waveform to %s", *vcdFile)
 	}
 	if rec != nil {
 		f, err := os.Create(*chromeFile)
 		if err != nil {
-			fatal(err)
+			return err
 		}
+		defer f.Close()
 		if err := rec.WriteChrome(f); err != nil {
-			fatal(err)
+			return err
 		}
 		if err := f.Close(); err != nil {
-			fatal(err)
+			return err
 		}
 		log.Infof("wrote chrome trace to %s (load at ui.perfetto.dev)", *chromeFile)
 	}
 	if reg != nil {
 		man := obs.NewManifest("cohort-sim", clk)
-		man.Args = os.Args[1:]
+		man.Args = args
 		// The key covers the full platform description and the workload
 		// content; the simulator is single-threaded, so workers is always 1.
 		cfgJSON, err := json.Marshal(cfg)
 		if err != nil {
-			fatal(err)
+			return err
 		}
 		k := parallel.NewKey("cohort-sim/config").Bytes(cfgJSON).Str(experiments.Fingerprint(tr)).Str(*switches)
 		man.ConfigKey = hex.EncodeToString([]byte(k.Sum()))
@@ -258,10 +311,11 @@ func main() {
 		man.Finish(clk)
 		path, err := man.Write(cu.OutDir)
 		if err != nil {
-			fatal(err)
+			return err
 		}
 		log.Infof("wrote manifest to %s", path)
 	}
+	return nil
 }
 
 func loadTrace(path, din, bench string, cores int, scale float64, seed uint64) (*cohort.Trace, error) {
@@ -287,15 +341,17 @@ func loadTrace(path, din, bench string, cores int, scale float64, seed uint64) (
 			return nil, err
 		}
 		defer f.Close()
-		br := bufio.NewReader(f)
-		if magic, err := br.Peek(4); err == nil && string(magic) == "CTRB" {
-			return cohort.ParseBinaryTrace(br)
+		// ReadAt leaves the offset at 0, and the binary decoder sizes the
+		// file itself, reading it through a bounded window.
+		var magic [4]byte
+		if n, _ := f.ReadAt(magic[:], 0); n == len(magic) && string(magic[:]) == "CTRB" {
+			return cohort.ParseBinaryTrace(f)
 		}
-		return cohort.ParseTrace(br)
+		return cohort.ParseTrace(f)
 	}
 	p, err := cohort.ProfileByName(bench)
 	if err != nil {
-		return nil, err
+		return nil, usageError{err}
 	}
 	return p.Scaled(scale).Generate(cores, 64, seed), nil
 }
@@ -316,7 +372,7 @@ func parseTimers(s string, n int) ([]cohort.Timer, error) {
 	for i, p := range parts {
 		v, err := strconv.ParseInt(strings.TrimSpace(p), 10, 32)
 		if err != nil {
-			return nil, fmt.Errorf("bad timer %q: %v", p, err)
+			return nil, fmt.Errorf("-timers: bad timer %q: %v", p, err)
 		}
 		out[i] = cohort.Timer(v)
 	}
@@ -342,12 +398,8 @@ func parseMask(s string, n int) ([]bool, error) {
 		case "0":
 			out[i] = false
 		default:
-			return nil, fmt.Errorf("bad criticality flag %q", p)
+			return nil, fmt.Errorf("-crit: bad criticality flag %q", p)
 		}
 	}
 	return out, nil
-}
-
-func fatal(err error) {
-	cliutil.Fatal("cohort-sim", err)
 }

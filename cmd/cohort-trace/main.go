@@ -9,67 +9,99 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
+	"math/bits"
 	"os"
 
 	"cohort"
 )
 
 func main() {
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// run generates, summarizes or lists traces as the flags select and
+// returns the exit status: 0 on success, 2 for a bad flag, 1 for any other
+// failure.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("cohort-trace", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		bench   = flag.String("bench", "fft", "benchmark profile name")
-		cores   = flag.Int("cores", 4, "number of cores")
-		scale   = flag.Float64("scale", 0.05, "access-count scale factor (1.0 = paper-sized)")
-		seed    = flag.Uint64("seed", 42, "generator seed")
-		line    = flag.Int("line", 64, "cache line size in bytes")
-		out     = flag.String("out", "", "write the trace to this file ('-' or empty = stdout unless -summary)")
-		summary = flag.Bool("summary", false, "print per-core statistics instead of the trace")
-		binform = flag.Bool("binary", false, "write the compact binary format instead of text")
-		list    = flag.Bool("list", false, "list available benchmark profiles")
+		bench   = fs.String("bench", "fft", "benchmark profile name")
+		cores   = fs.Int("cores", 4, "number of cores")
+		scale   = fs.Float64("scale", 0.05, "access-count scale factor (1.0 = paper-sized)")
+		seed    = fs.Uint64("seed", 42, "generator seed")
+		line    = fs.Int("line", 64, "cache line size in bytes")
+		out     = fs.String("out", "", "write the trace to this file ('-' or empty = stdout unless -summary)")
+		summary = fs.Bool("summary", false, "print per-core statistics instead of the trace")
+		binform = fs.Bool("binary", false, "write the compact binary format instead of text")
+		list    = fs.Bool("list", false, "list available benchmark profiles")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2 // the flag package has printed the error and the usage
+	}
+	fail := func(status int, err error) int {
+		fmt.Fprintln(stderr, "cohort-trace:", err)
+		return status
+	}
+	switch {
+	case *cores < 1:
+		return fail(2, fmt.Errorf("-cores must be positive, got %d", *cores))
+	case *line < 1 || bits.OnesCount(uint(*line)) != 1:
+		return fail(2, fmt.Errorf("-line must be a positive power of two, got %d", *line))
+	case *scale <= 0:
+		return fail(2, fmt.Errorf("-scale must be positive, got %v", *scale))
+	}
 
 	if *list {
 		for _, p := range cohort.Profiles() {
-			fmt.Printf("%-10s %8d accesses/core  shared %4d lines  %2.0f%% writes\n",
+			fmt.Fprintf(stdout, "%-10s %8d accesses/core  shared %4d lines  %2.0f%% writes\n",
 				p.Name, p.AccessesPerCore, p.SharedLines, 100*p.PWrite)
 		}
-		return
+		return 0
 	}
 
 	p, err := cohort.ProfileByName(*bench)
 	if err != nil {
-		fatal(err)
+		return fail(2, err)
 	}
 	tr := p.Scaled(*scale).Generate(*cores, *line, *seed)
 
 	if *summary {
-		fmt.Print(cohort.SummarizeTrace(tr, *line))
-		return
+		fmt.Fprint(stdout, cohort.SummarizeTrace(tr, *line))
+		return 0
 	}
-	w := os.Stdout
-	if *out != "" && *out != "-" {
-		f, err := os.Create(*out)
-		if err != nil {
-			fatal(err)
+	if *out == "" || *out == "-" {
+		if err := write(tr, stdout, *binform); err != nil {
+			return fail(1, err)
 		}
-		defer f.Close()
-		w = f
+		return 0
 	}
-	writeFn := tr.Write
-	if *binform {
-		writeFn = tr.WriteBinary
+	f, err := os.Create(*out)
+	if err != nil {
+		return fail(1, err)
 	}
-	if err := writeFn(w); err != nil {
-		fatal(err)
+	err = write(tr, f, *binform)
+	if cerr := f.Close(); err == nil {
+		err = cerr
 	}
-	if w != os.Stdout {
-		fmt.Fprintf(os.Stderr, "wrote %d accesses (%d cores) to %s\n", tr.TotalAccesses(), tr.NumCores(), *out)
+	if err != nil {
+		return fail(1, err)
 	}
+	fmt.Fprintf(stderr, "wrote %d accesses (%d cores) to %s\n", tr.TotalAccesses(), tr.NumCores(), *out)
+	return 0
 }
 
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "cohort-trace:", err)
-	os.Exit(1)
+// write encodes the trace in the text or the binary format.
+func write(tr *cohort.Trace, w io.Writer, binary bool) error {
+	if binary {
+		return tr.WriteBinary(w)
+	}
+	return tr.Write(w)
 }

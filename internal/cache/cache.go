@@ -60,8 +60,13 @@ func (e *Entry) Valid() bool { return e.State != Invalid }
 
 // Cache is a set-associative cache array. Ways = 1 models the paper's
 // direct-mapped private caches. The zero value is not usable; use New.
+//
+// The array is one set-major slice: set s occupies entries[s*ways :
+// (s+1)*ways]. A lookup computes its set's offset instead of loading a
+// per-set slice header first.
 type Cache struct {
-	sets      [][]Entry
+	entries   []Entry
+	ways      int
 	lineShift uint
 	setMask   uint64
 	useClock  uint64
@@ -81,13 +86,9 @@ func New(sizeBytes, lineBytes, ways int) *Cache {
 	if nSets <= 0 || bits.OnesCount(uint(nSets)) != 1 {
 		panic(fmt.Sprintf("cache: set count %d not a positive power of two", nSets))
 	}
-	sets := make([][]Entry, nSets)
-	backing := make([]Entry, nSets*ways)
-	for i := range sets {
-		sets[i] = backing[i*ways : (i+1)*ways : (i+1)*ways]
-	}
 	return &Cache{
-		sets:      sets,
+		entries:   make([]Entry, nSets*ways),
+		ways:      ways,
 		lineShift: uint(bits.TrailingZeros(uint(lineBytes))),
 		setMask:   uint64(nSets - 1),
 	}
@@ -97,10 +98,10 @@ func New(sizeBytes, lineBytes, ways int) *Cache {
 func (c *Cache) LineBytes() int { return 1 << c.lineShift }
 
 // Sets returns the number of sets.
-func (c *Cache) Sets() int { return len(c.sets) }
+func (c *Cache) Sets() int { return len(c.entries) / c.ways }
 
 // Ways returns the associativity.
-func (c *Cache) Ways() int { return len(c.sets[0]) }
+func (c *Cache) Ways() int { return c.ways }
 
 // LineAddr converts a byte address to a line-granularity address.
 func (c *Cache) LineAddr(addr uint64) uint64 { return addr >> c.lineShift }
@@ -108,13 +109,21 @@ func (c *Cache) LineAddr(addr uint64) uint64 { return addr >> c.lineShift }
 // SetIndex returns the set a line address maps to.
 func (c *Cache) SetIndex(lineAddr uint64) int { return int(lineAddr & c.setMask) }
 
+// set returns the ways of set s.
+func (c *Cache) set(s int) []Entry {
+	base := s * c.ways
+	return c.entries[base : base+c.ways]
+}
+
 // Lookup returns the entry holding lineAddr, or nil on a miss. It does not
 // update recency; call Touch on a hit.
 func (c *Cache) Lookup(lineAddr uint64) *Entry {
-	set := c.sets[c.SetIndex(lineAddr)]
-	for i := range set {
-		if set[i].Valid() && set[i].LineAddr == lineAddr {
-			return &set[i]
+	// Indexing the flat array directly, rather than through c.set, skips
+	// building a slice header on the hottest path.
+	base := c.SetIndex(lineAddr) * c.ways
+	for i := base; i < base+c.ways; i++ {
+		if e := &c.entries[i]; e.Valid() && e.LineAddr == lineAddr {
+			return e
 		}
 	}
 	return nil
@@ -132,7 +141,7 @@ func (c *Cache) Touch(e *Entry) {
 // The caller is responsible for handling write-back/invalidation of the
 // returned slot before calling Fill.
 func (c *Cache) VictimFor(lineAddr uint64, pinned func(*Entry) bool) *Entry {
-	set := c.sets[c.SetIndex(lineAddr)]
+	set := c.set(c.SetIndex(lineAddr))
 	var victim *Entry
 	for i := range set {
 		e := &set[i]
@@ -170,21 +179,15 @@ func (c *Cache) Invalidate(e *Entry) {
 // InvalidateAll empties the whole cache (used on mode-switch flush ablations
 // and tests).
 func (c *Cache) InvalidateAll() {
-	for s := range c.sets {
-		for w := range c.sets[s] {
-			c.sets[s][w] = Entry{}
-		}
-	}
+	clear(c.entries)
 }
 
 // ForEach calls fn for every valid entry; iteration order is deterministic
 // (set-major, way-minor).
 func (c *Cache) ForEach(fn func(*Entry)) {
-	for s := range c.sets {
-		for w := range c.sets[s] {
-			if c.sets[s][w].Valid() {
-				fn(&c.sets[s][w])
-			}
+	for i := range c.entries {
+		if c.entries[i].Valid() {
+			fn(&c.entries[i])
 		}
 	}
 }
@@ -204,7 +207,7 @@ func (c *Cache) EntriesLRU(s int) []*Entry {
 // keep ascending way order exactly as sort.SliceStable did. Sets hold a
 // handful of ways, where insertion sort beats the generic sort outright.
 func (c *Cache) AppendEntriesLRU(dst []*Entry, s int) []*Entry {
-	set := c.sets[s]
+	set := c.set(s)
 	base := len(dst)
 	for w := range set {
 		if !set[w].Valid() {

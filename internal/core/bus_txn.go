@@ -15,7 +15,7 @@ import (
 // cheap no-ops.
 func (s *System) kickArbiter(now int64) {
 	if s.busHeld || s.busBusyUntil > now {
-		return // a kick is scheduled for the cycle the bus frees
+		return // the tenure's finish event runs the release round
 	}
 	// s.cands is preallocated in New and fully overwritten each round; the
 	// arbiters treat it as a read-only snapshot and never retain it.
@@ -64,21 +64,29 @@ func (s *System) isHeadWaiter(c *coreState, m *missState) bool {
 	return h != nil && h.Core == c.id
 }
 
-// scheduleKick schedules an arbitration round at the given cycle, once. The
-// pending set holds only future cycles (bus release, arbiter wake, data
-// ready) and stays a handful of entries deep, so a linear scan over a small
-// slice replaces the old map without a hashing cost or per-entry allocation.
+// scheduleKick schedules an arbitration round at the given cycle, once.
 func (s *System) scheduleKick(at int64) {
+	if s.addKick(at) {
+		s.atEvent(at, evKick, 0, 0, 0)
+	}
+}
+
+// addKick records at as a cycle with an arbitration round due and reports
+// whether it was new. The pending set holds only future cycles (bus release,
+// arbiter wake, data ready) and stays a handful of entries deep, so a linear
+// scan over a small slice replaces the old map without a hashing cost or
+// per-entry allocation.
+func (s *System) addKick(at int64) bool {
 	for _, t := range s.kickPending {
 		if t == at {
-			return
+			return false
 		}
 	}
 	s.kickPending = append(s.kickPending, at) //cohort:allow hotalloc: pending-kick set reaches its high-water mark early, then reuses capacity
-	s.atEvent(at, evKick, 0, 0, 0)
+	return true
 }
 
-// clearKick removes a fired kick cycle from the pending set (order-free
+// clearKick removes a due kick cycle from the pending set (order-free
 // swap-remove; the set is membership-only).
 func (s *System) clearKick(now int64) {
 	for i, t := range s.kickPending {
@@ -91,8 +99,11 @@ func (s *System) clearKick(now int64) {
 	}
 }
 
-// occupyBus reserves the bus for dur cycles starting now and schedules the
-// arbitration round at the release cycle.
+// occupyBus reserves the bus for dur cycles starting now. It queues no
+// arbitration round for the release cycle: the finish event the caller has
+// just queued there runs it (finishBroadcast, finishData). The cycle joins
+// the pending kicks until then, so a kick requested for it meanwhile queues
+// nothing.
 func (s *System) occupyBus(now, dur int64) {
 	if s.busBusyUntil > now {
 		panic(fmt.Sprintf("core: bus double-granted: busy until %d, grant at %d", s.busBusyUntil, now))
@@ -100,7 +111,7 @@ func (s *System) occupyBus(now, dur int64) {
 	s.busHeld = true
 	s.busBusyUntil = now + dur
 	s.run.BusBusy += dur
-	s.scheduleKick(now + dur)
+	s.addKick(now + dur)
 }
 
 // releaseBus ends the current transaction owner's tenure.
@@ -112,8 +123,6 @@ func (s *System) grantBroadcast(c *coreState, m *missState, now int64) {
 	m.grantAt = now
 	s.run.Transactions++
 	s.emit(TraceEvent{Cycle: now, Kind: EvBroadcast, Core: c.id, Line: m.line, Until: now + s.cfg.Lat.Req})
-	// finishBroadcast must run before the bus-free arbitration kick at the
-	// same cycle so a fused data phase can extend the occupancy first.
 	s.atEvent(now+s.cfg.Lat.Req, evFinishBroadcast, int32(c.id), 0, 0)
 	s.occupyBus(now, s.cfg.Lat.Req)
 }
@@ -121,7 +130,10 @@ func (s *System) grantBroadcast(c *coreState, m *missState, now int64) {
 // finishBroadcast makes the request globally visible: it joins the line's
 // waiter FIFO, and if the requester is the head and the owner has already
 // released the line, the data transfer is fused onto the same bus tenure.
+// It is also the bus-release round: it ends in kickArbiter, or in the fused
+// data grant, which keeps the bus held.
 func (s *System) finishBroadcast(c *coreState, m *missState, now int64) {
+	s.clearKick(now)
 	m.inFlight = false
 	m.broadcasted = true
 	m.broadcastAt = now
@@ -327,8 +339,10 @@ func (s *System) grantData(c *coreState, m *missState, now int64) {
 }
 
 // finishData completes the head waiter's transfer: ownership moves, stale
-// copies die, the requester installs the line and its access completes.
+// copies die, the requester installs the line and its access completes. It
+// ends in kickArbiter, the bus-release round.
 func (s *System) finishData(c *coreState, m *missState, now int64) {
+	s.clearKick(now)
 	m.inFlight = false
 	li := s.dir.Get(m.line)
 	w := li.PopWaiter()

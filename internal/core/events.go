@@ -16,7 +16,8 @@ import (
 const (
 	// evCoreWake resumes core recv's issue loop (dedup through coreState.wakeAt).
 	evCoreWake sim.Kind = iota
-	// evKick runs an arbitration round at a bus-release/slot-boundary cycle.
+	// evKick runs an arbitration round at an arbiter-wake or data-ready
+	// cycle. A bus release queues none: its finish event runs the round.
 	evKick
 	// evFinishBroadcast completes core recv's request broadcast (c.miss).
 	evFinishBroadcast

@@ -16,7 +16,8 @@ const simTidBus = 0
 func simTidCore(core int) int { return core + 1 }
 
 // SetMetrics registers the system's measurement surface with a registry:
-// run-level counters (cycles, bus occupancy, transactions, mode switches),
+// run-level counters (cycles, bus occupancy, transactions, mode switches,
+// events scheduled on the engine),
 // the per-core access/latency family including the latency histograms, the
 // LLC and arbiter counters, timer-protection-window totals, and contention
 // summaries. Values are read when the registry is snapshotted — attach the
@@ -35,6 +36,7 @@ func (s *System) SetMetrics(reg *obs.Registry) error {
 	reg.RegisterCounterFunc("sim_bus_transactions", func() int64 { return s.run.Transactions })
 	reg.RegisterCounterFunc("sim_mode_switches", func() int64 { return int64(s.run.ModeSwitches) })
 	reg.RegisterFunc("sim_mode", func() int64 { return int64(s.mode) })
+	reg.RegisterCounterFunc("sim_events_scheduled", func() int64 { return int64(s.eng.Scheduled()) })
 	reg.RegisterCounter("sim_timer_windows", &s.timerWindows)
 	reg.RegisterCounter("sim_timer_window_cycles", &s.timerWindowCycles)
 

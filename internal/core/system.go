@@ -73,7 +73,7 @@ type System struct {
 
 	busBusyUntil int64
 	busHeld      bool    // a transaction owner may still extend its tenure
-	kickPending  []int64 // cycles with a scheduled evKick (bounded by cores+2; linear scan beats a map here)
+	kickPending  []int64 // cycles with an arbitration round due: a queued evKick or the bus release (bounded by cores+2; linear scan beats a map here)
 
 	// Hot-path scratch, preallocated in New / pooled across events so the
 	// steady-state simulation loop performs no heap allocations.

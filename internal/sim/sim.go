@@ -70,6 +70,10 @@ func (e *Engine) Now() Cycle { return e.now }
 // Pending reports the number of events still queued.
 func (e *Engine) Pending() int { return e.queue.len() }
 
+// Scheduled reports the number of events queued since the engine started,
+// fired or not: the sequence number of the latest one.
+func (e *Engine) Scheduled() uint64 { return e.seq }
+
 // Reserve preallocates queue backing for at least n additional events, so a
 // caller that knows its steady-state queue depth avoids growth reallocations
 // mid-run.

@@ -21,6 +21,35 @@ func TestZeroValueEngine(t *testing.T) {
 	}
 }
 
+type nopHandler struct{}
+
+func (nopHandler) HandleEvent(Cycle, Kind, int32, uint64, uint64) {}
+
+// TestScheduledCountsEveryQueuedEvent checks that Scheduled counts closure
+// and typed events alike, as they are queued: firing them, or advancing
+// the clock past them, leaves the count alone.
+func TestScheduledCountsEveryQueuedEvent(t *testing.T) {
+	e := New()
+	e.SetHandler(nopHandler{})
+	e.Schedule(3, func(Cycle) {})
+	e.ScheduleKind(5, 0, 0, 0, 0)
+	if err := e.ScheduleKindAt(9, 0, 0, 0, 0); err != nil {
+		t.Fatal(err)
+	}
+	if got := e.Scheduled(); got != 3 {
+		t.Fatalf("Scheduled = %d after queuing 3 events, want 3", got)
+	}
+	if err := e.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if !e.Advance(20) {
+		t.Fatal("Advance on an empty queue refused")
+	}
+	if got := e.Scheduled(); got != 3 {
+		t.Fatalf("Scheduled = %d after running them, want 3", got)
+	}
+}
+
 func TestScheduleOrdering(t *testing.T) {
 	e := New()
 	var got []int

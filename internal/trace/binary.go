@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"os"
 )
 
 // Binary trace format: a compact varint encoding for large workloads
@@ -81,27 +82,40 @@ func (t *Trace) WriteBinary(w io.Writer) error {
 }
 
 // minAccessBytes is the size of the smallest encoded access: a flags byte
-// and two one-byte uvarints.
-const minAccessBytes = 3
+// and two one-byte uvarints; maxAccessBytes is the largest, with two
+// ten-byte uvarints.
+const (
+	minAccessBytes = 3
+	maxAccessBytes = 1 + 2*binary.MaxVarintLen64
+)
 
-// ParseBinary decodes a trace written by WriteBinary. It reads r to the end
-// once and decodes from memory, allocating each stream once at its declared
-// length.
+// windowBytes caps the buffer ParseBinary decodes a sized input through.
+const windowBytes = 64 << 10
+
+// ParseBinary decodes a trace written by WriteBinary, allocating each stream
+// once at its declared length. An input that reports its size — a regular
+// *os.File, or a reader with a Len method such as *bytes.Reader — is decoded
+// through a window of at most 64 KiB, so no more of the encoded bytes than
+// that are held at once. Any other reader is read to the end first and
+// decoded from memory.
 func ParseBinary(r io.Reader) (*Trace, error) {
-	data, err := io.ReadAll(r)
+	d, err := newDecoder(r)
 	if err != nil {
 		return nil, fmt.Errorf("trace: binary read: %w", err)
 	}
-	if len(data) < len(binaryMagic)+1 {
+	if err := d.need(len(binaryMagic) + 1); err != nil {
+		return nil, fmt.Errorf("trace: binary read: %w", err)
+	}
+	if d.end-d.off < len(binaryMagic)+1 {
 		return nil, fmt.Errorf("trace: binary header: %w", io.ErrUnexpectedEOF)
 	}
-	if string(data[:len(binaryMagic)]) != binaryMagic {
+	if string(d.buf[d.off:d.off+len(binaryMagic)]) != binaryMagic {
 		return nil, ErrBadMagic
 	}
-	if v := data[len(binaryMagic)]; v != binaryVersion {
+	if v := d.buf[d.off+len(binaryMagic)]; v != binaryVersion {
 		return nil, fmt.Errorf("trace: unsupported binary version %d", v)
 	}
-	d := decoder{buf: data, off: len(binaryMagic) + 1}
+	d.off += len(binaryMagic) + 1
 	nameLen, err := d.uvarint()
 	if err != nil {
 		return nil, fmt.Errorf("trace: name length: %w", err)
@@ -112,7 +126,14 @@ func ParseBinary(r io.Reader) (*Trace, error) {
 	if nameLen > uint64(d.left()) {
 		return nil, fmt.Errorf("trace: name: %w", io.ErrUnexpectedEOF)
 	}
-	name := string(data[d.off : d.off+int(nameLen)])
+	// A window holds 64 KiB or the whole input, so any name fits in it.
+	if err := d.need(int(nameLen)); err != nil {
+		return nil, fmt.Errorf("trace: binary read: %w", err)
+	}
+	if uint64(d.end-d.off) < nameLen {
+		return nil, fmt.Errorf("trace: name: %w", io.ErrUnexpectedEOF)
+	}
+	name := string(d.buf[d.off : d.off+int(nameLen)])
 	d.off += int(nameLen)
 	nCores, err := d.uvarint()
 	if err != nil {
@@ -135,21 +156,26 @@ func ParseBinary(r io.Reader) (*Trace, error) {
 		s := make(Stream, count)
 		prev := uint64(0)
 		for i := range s {
-			if d.left() == 0 {
+			if d.end-d.off < maxAccessBytes {
+				if err := d.need(maxAccessBytes); err != nil {
+					return nil, fmt.Errorf("trace: binary read: %w", err)
+				}
+			}
+			if d.off == d.end {
 				return nil, fmt.Errorf("trace: core %d access %d flags: %w", c, i, io.ErrUnexpectedEOF)
 			}
-			flags := data[d.off]
+			flags := d.buf[d.off]
 			d.off++
 			if flags > 1 {
 				return nil, fmt.Errorf("trace: core %d access %d bad flags %#x", c, i, flags)
 			}
-			zz, err := d.uvarint()
+			zz, err := d.next()
 			if err != nil {
 				return nil, fmt.Errorf("trace: core %d access %d addr: %w", c, i, err)
 			}
 			addr := uint64(int64(prev) + unzigzag(zz))
 			prev = addr
-			gap, err := d.uvarint()
+			gap, err := d.next()
 			if err != nil {
 				return nil, fmt.Errorf("trace: core %d access %d gap: %w", c, i, err)
 			}
@@ -173,17 +199,88 @@ func ParseBinary(r io.Reader) (*Trace, error) {
 // errVarintOverflow reports a uvarint longer than 64 bits.
 var errVarintOverflow = errors.New("varint overflows a 64-bit integer")
 
-// decoder is a read cursor over an in-memory binary trace.
+// decoder is a read cursor over a binary trace: buf[off:end] holds the
+// input bytes not yet decoded, and rest more wait in r. An input read whole
+// is all in buf, with rest 0.
 type decoder struct {
-	buf []byte
-	off int
+	r        io.Reader
+	buf      []byte
+	off, end int
+	rest     int64
 }
 
-func (d *decoder) left() int { return len(d.buf) - d.off }
+// newDecoder sizes the input. A sized input gets a window of at most
+// windowBytes, filled on demand; any other is read to the end.
+func newDecoder(r io.Reader) (*decoder, error) {
+	size, ok := inputSize(r)
+	if !ok {
+		data, err := io.ReadAll(r)
+		if err != nil {
+			return nil, err
+		}
+		return &decoder{buf: data, end: len(data)}, nil
+	}
+	return &decoder{r: r, buf: make([]byte, min(size, windowBytes)), rest: size}, nil
+}
 
-// uvarint decodes the uvarint at the cursor and steps past it.
+// inputSize reports how many bytes remain in r, when r can tell: a regular
+// *os.File from its size and offset, or any reader with a Len method.
+func inputSize(r io.Reader) (int64, bool) {
+	switch v := r.(type) {
+	case *os.File:
+		fi, err := v.Stat()
+		if err != nil || !fi.Mode().IsRegular() {
+			return 0, false
+		}
+		off, err := v.Seek(0, io.SeekCurrent)
+		if err != nil {
+			return 0, false
+		}
+		return max(fi.Size()-off, 0), true
+	case interface{ Len() int }:
+		return int64(v.Len()), true
+	}
+	return 0, false
+}
+
+// left reports how many input bytes remain to decode.
+func (d *decoder) left() int64 { return int64(d.end-d.off) + d.rest }
+
+// need makes at least n bytes available at the cursor, or all that remain
+// when fewer do. It moves the undecoded tail to the front of the window and
+// reads up to the window's end, or to the input's size.
+func (d *decoder) need(n int) error {
+	if d.end-d.off >= n || d.rest == 0 {
+		return nil
+	}
+	d.end = copy(d.buf, d.buf[d.off:d.end])
+	d.off = 0
+	want := min(int64(len(d.buf)-d.end), d.rest)
+	k, err := io.ReadFull(d.r, d.buf[d.end:d.end+int(want)])
+	d.end += k
+	d.rest -= int64(k)
+	switch {
+	case err == io.EOF || err == io.ErrUnexpectedEOF:
+		d.rest = 0 // shorter than it said: decoding reports the truncation
+	case err != nil:
+		return err
+	}
+	return nil
+}
+
+// uvarint decodes the uvarint at the cursor, reading more input first if
+// the window holds less than a full uvarint.
 func (d *decoder) uvarint() (uint64, error) {
-	v, n := binary.Uvarint(d.buf[d.off:])
+	if err := d.need(binary.MaxVarintLen64); err != nil {
+		return 0, err
+	}
+	return d.next()
+}
+
+// next decodes the uvarint at the cursor from the bytes already in the
+// window and steps past it.
+func (d *decoder) next() (uint64, error) {
+	v, n := binary.Uvarint(d.buf[d.off:d.end])
 	switch {
 	case n > 0:
 		d.off += n

@@ -3,13 +3,65 @@ package trace
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
+	"io"
+	"os"
+	"path/filepath"
 	"reflect"
 	"runtime"
 	"strings"
 	"testing"
+	"testing/iotest"
 	"testing/quick"
 	"unsafe"
 )
+
+// sizedReader gives any reader a Len method, so ParseBinary decodes it
+// through its window instead of reading it whole first. ParseBinary asks
+// for the length once, before its first read.
+type sizedReader struct {
+	io.Reader
+	n int
+}
+
+func (r sizedReader) Len() int { return r.n }
+
+// windowTrace returns a two-core trace whose encoding spans several decode
+// windows. Address deltas and gaps take every varint width from 1 to 10
+// bytes, so accesses run 3 to 21 bytes long and window refills fall inside
+// accesses and inside their varints.
+func windowTrace() *Trace {
+	rng := NewRNG(16)
+	tr := &Trace{Name: "window", Streams: make([]Stream, 2)}
+	for c := range tr.Streams {
+		s := make(Stream, 40_000)
+		for i := range s {
+			s[i] = Access{
+				Addr: rng.Uint64() >> rng.Intn(64),
+				Kind: Kind(rng.Intn(2)),
+				Gap:  int64(rng.Uint64() >> (1 + rng.Intn(63))),
+			}
+		}
+		tr.Streams[c] = s
+	}
+	return tr
+}
+
+// writeFile writes data to a fresh file in the test's temporary directory
+// and opens it for reading.
+func writeFile(t *testing.T, data []byte) *os.File {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), "in.ctrb")
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	f, err := os.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { f.Close() })
+	return f
+}
 
 func TestBinaryRoundTrip(t *testing.T) {
 	p, _ := ProfileByName("radix")
@@ -77,21 +129,101 @@ func TestBinaryRejectsGarbage(t *testing.T) {
 	// stream is allocated.
 	in := binary.AppendUvarint([]byte("CTRB\x01\x00\x01"), 1<<31-1) // empty name, one core
 	in = append(in, 0, 2, 0, 1, 4, 0)                               // two accesses' worth
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	_, err := ParseBinary(bytes.NewReader(in))
-	runtime.ReadMemStats(&after)
-	if err == nil || !strings.Contains(err.Error(), "implausible") {
-		t.Fatalf("huge access count accepted: %v", err)
-	}
-	if d := after.TotalAlloc - before.TotalAlloc; d > 64<<10 {
-		t.Fatalf("rejecting a huge access count allocated %d bytes", d)
+	// The same through a file, whose size comes from Stat.
+	f := writeFile(t, in)
+	for _, r := range []io.Reader{bytes.NewReader(in), f} {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, err := ParseBinary(r)
+		runtime.ReadMemStats(&after)
+		if err == nil || !strings.Contains(err.Error(), "implausible") {
+			t.Fatalf("%T: huge access count accepted: %v", r, err)
+		}
+		if d := after.TotalAlloc - before.TotalAlloc; d > 64<<10 {
+			t.Fatalf("%T: rejecting a huge access count allocated %d bytes", r, d)
+		}
 	}
 }
 
-// TestBinaryDecodeAllocation bounds what one decode allocates by twice the
-// encoded input plus the decoded streams: the input is read once and each
-// stream is allocated once, at its declared length.
+// TestBinaryWindowEdges decodes a trace several windows long through every
+// kind of input: sized (a file, a *bytes.Reader, and short reads behind a
+// Len method) and unsized (readers from testing/iotest, read whole). All
+// must yield the trace that was encoded.
+func TestBinaryWindowEdges(t *testing.T) {
+	want := windowTrace()
+	var buf bytes.Buffer
+	if err := want.WriteBinary(&buf); err != nil {
+		t.Fatal(err)
+	}
+	enc := buf.Bytes()
+	if len(enc) < 4*windowBytes {
+		t.Fatalf("encoding is %d bytes, want at least four %d-byte windows", len(enc), windowBytes)
+	}
+	inputs := []struct {
+		name string
+		r    func() io.Reader
+	}{
+		{"file", func() io.Reader { return writeFile(t, enc) }},
+		{"bytes.Reader", func() io.Reader { return bytes.NewReader(enc) }},
+		{"sized/OneByteReader", func() io.Reader { return sizedReader{iotest.OneByteReader(bytes.NewReader(enc)), len(enc)} }},
+		{"sized/HalfReader", func() io.Reader { return sizedReader{iotest.HalfReader(bytes.NewReader(enc)), len(enc)} }},
+		{"sized/DataErrReader", func() io.Reader { return sizedReader{iotest.DataErrReader(bytes.NewReader(enc)), len(enc)} }},
+		{"OneByteReader", func() io.Reader { return iotest.OneByteReader(bytes.NewReader(enc)) }},
+		{"HalfReader", func() io.Reader { return iotest.HalfReader(bytes.NewReader(enc)) }},
+		{"DataErrReader", func() io.Reader { return iotest.DataErrReader(bytes.NewReader(enc)) }},
+	}
+	for _, in := range inputs {
+		t.Run(in.name, func(t *testing.T) {
+			got, err := ParseBinary(in.r())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Fatal("decoded trace differs from the encoded one")
+			}
+		})
+	}
+}
+
+// TestBinaryReadFailures feeds ParseBinary inputs that fail part way:
+// a reader that times out after its first read, and a file cut off inside
+// an access. Each must return an error, sized or not.
+func TestBinaryReadFailures(t *testing.T) {
+	var buf bytes.Buffer
+	if err := windowTrace().WriteBinary(&buf); err != nil {
+		t.Fatal(err)
+	}
+	enc := buf.Bytes()
+	// Cut inside an access near the end: a flags byte survives, its varints
+	// do not.
+	cut := enc[:len(enc)-5]
+	inputs := []struct {
+		name string
+		r    func() io.Reader
+		want error
+	}{
+		{"TimeoutReader", func() io.Reader { return iotest.TimeoutReader(bytes.NewReader(enc)) }, iotest.ErrTimeout},
+		{"sized/TimeoutReader", func() io.Reader { return sizedReader{iotest.TimeoutReader(bytes.NewReader(enc)), len(enc)} }, iotest.ErrTimeout},
+		{"truncated file", func() io.Reader { return writeFile(t, cut) }, io.ErrUnexpectedEOF},
+		{"truncated OneByteReader", func() io.Reader { return iotest.OneByteReader(bytes.NewReader(cut)) }, io.ErrUnexpectedEOF},
+		{"file shorter than its size", func() io.Reader { return sizedReader{bytes.NewReader(cut), len(enc)} }, io.ErrUnexpectedEOF},
+	}
+	for _, in := range inputs {
+		t.Run(in.name, func(t *testing.T) {
+			tr, err := ParseBinary(in.r())
+			if !errors.Is(err, in.want) {
+				t.Fatalf("got trace %v, error %v; want error %v", tr != nil, err, in.want)
+			}
+		})
+	}
+}
+
+// TestBinaryDecodeAllocation bounds what one decode allocates. A sized
+// input — a *bytes.Reader or a file — costs the decoded streams, one window
+// and a small constant: the encoded bytes are never held whole. An unsized
+// input is read whole first, so it may cost up to twice the encoded input
+// plus the decoded streams. Each stream is allocated once, at its declared
+// length.
 func TestBinaryDecodeAllocation(t *testing.T) {
 	const n = 300_000
 	s := make(Stream, n)
@@ -103,23 +235,40 @@ func TestBinaryDecodeAllocation(t *testing.T) {
 		t.Fatal(err)
 	}
 	enc := buf.Bytes()
-	var before, after runtime.MemStats
-	runtime.GC()
-	runtime.ReadMemStats(&before)
-	got, err := ParseBinary(bytes.NewReader(enc))
-	runtime.ReadMemStats(&after)
-	if err != nil {
-		t.Fatal(err)
+	decoded := uint64(unsafe.Sizeof(Access{})) * n
+	// slack covers the Trace, its stream headers, the name, the decoder, a
+	// file's Stat, and the allocator rounding the stream up to whole pages.
+	const slack = 16 << 10
+	inputs := []struct {
+		name  string
+		r     func() io.Reader
+		limit uint64
+	}{
+		{"bytes.Reader", func() io.Reader { return bytes.NewReader(enc) }, decoded + windowBytes + slack},
+		{"file", func() io.Reader { return writeFile(t, enc) }, decoded + windowBytes + slack},
+		{"unsized", func() io.Reader { return iotest.HalfReader(bytes.NewReader(enc)) }, 2 * (uint64(len(enc)) + decoded)},
 	}
-	if !reflect.DeepEqual(got.Streams, []Stream{s}) {
-		t.Fatal("decoded stream differs from the encoded one")
+	for _, in := range inputs {
+		t.Run(in.name, func(t *testing.T) {
+			r := in.r()
+			var before, after runtime.MemStats
+			runtime.GC()
+			runtime.ReadMemStats(&before)
+			got, err := ParseBinary(r)
+			runtime.ReadMemStats(&after)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(got.Streams, []Stream{s}) {
+				t.Fatal("decoded stream differs from the encoded one")
+			}
+			alloc := after.TotalAlloc - before.TotalAlloc
+			if alloc > in.limit {
+				t.Fatalf("decode allocated %d bytes, limit %d (%d decoded, %d encoded)", alloc, in.limit, decoded, len(enc))
+			}
+			t.Logf("decode allocated %d bytes, limit %d (%d decoded, %d encoded)", alloc, in.limit, decoded, len(enc))
+		})
 	}
-	size := uint64(len(enc)) + uint64(unsafe.Sizeof(Access{}))*n
-	alloc := after.TotalAlloc - before.TotalAlloc
-	if alloc > 2*size {
-		t.Fatalf("decode allocated %d bytes, %.2fx the %d encoded + decoded bytes (limit 2x)", alloc, float64(alloc)/float64(size), size)
-	}
-	t.Logf("decode allocated %d bytes, %.2fx the %d encoded + decoded bytes", alloc, float64(alloc)/float64(size), size)
 }
 
 // Property: binary codec round-trips arbitrary streams, including large

@@ -2,8 +2,12 @@ package trace
 
 import (
 	"bytes"
+	"fmt"
+	"io"
+	"reflect"
 	"strings"
 	"testing"
+	"testing/iotest"
 )
 
 // The parsers feed the parallel evaluation engine: a malformed trace file is
@@ -48,6 +52,17 @@ func FuzzParseBinary(f *testing.F) {
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		tr, err := ParseBinary(bytes.NewReader(data))
+		// One-byte reads, read whole or through the window, must decode
+		// exactly as the sized in-memory reader does.
+		for _, r := range []io.Reader{
+			iotest.OneByteReader(bytes.NewReader(data)),
+			sizedReader{iotest.OneByteReader(bytes.NewReader(data)), len(data)},
+		} {
+			tr2, err2 := ParseBinary(r)
+			if fmt.Sprint(err2) != fmt.Sprint(err) || !reflect.DeepEqual(tr2, tr) {
+				t.Fatalf("%T: got (%v, %v), bytes.Reader got (%v, %v)", r, tr2 != nil, err2, tr != nil, err)
+			}
+		}
 		if err != nil {
 			return
 		}
