@@ -44,6 +44,10 @@ go run ./cmd/cohort-bench -run fig5a -j 8 -scale 0.01 -cap 800 -benches fft,wate
 echo "==> curve/batch-vs-scalar fuzz seeds (committed corpus)"
 go test -run 'FuzzCurveVsScalar|FuzzBatchVsScalar' ./internal/analysis
 
+echo "==> curve-vs-scalar fuzzing, time-boxed (two-sided regime exactness beyond the corpus)"
+# A failing input lands in internal/analysis/testdata/fuzz; commit it.
+go test -run '^$' -fuzz FuzzCurveVsScalar -fuzztime 15s ./internal/analysis
+
 echo "==> coverage gate (internal/sim + internal/opt + internal/analysis combined, post-PR10 floor 96.5%)"
 covdir="$(mktemp -d)"
 go test -coverprofile "$covdir/cover.out" ./internal/sim ./internal/opt ./internal/analysis >/dev/null

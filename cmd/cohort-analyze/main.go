@@ -13,126 +13,163 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strconv"
 	"strings"
 
 	"cohort"
+	"cohort/internal/cliutil"
 )
 
 func main() {
-	var (
-		bench     = flag.String("bench", "fft", "benchmark profile")
-		cores     = flag.Int("cores", 4, "number of cores")
-		scale     = flag.Float64("scale", 0.05, "access-count scale factor")
-		seed      = flag.Uint64("seed", 42, "trace generator seed")
-		timers    = flag.String("timers", "300,20,20,-1", "comma-separated per-core timers")
-		sweep     = flag.Bool("sweep", false, "print the θ_is saturation sweep per core")
-		deadlines = flag.String("deadlines", "", "comma-separated per-core task deadlines in cycles (0 = none) for a schedulability check")
-		levels    = flag.Int("levels", 1, "criticality levels (for the hardware bill)")
-	)
-	flag.Parse()
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
 
-	p, err := cohort.ProfileByName(*bench)
-	if err != nil {
-		fatal(err)
+// run executes one analysis, writing its report to stdout and diagnostics
+// to stderr, and returns the exit status: 0 on success, 2 for a bad flag, 1
+// for any other failure.
+func run(args []string, stdout, stderr io.Writer) int {
+	return cliutil.Status("cohort-analyze", analyze(args, stdout, stderr), stderr)
+}
+
+func analyze(args []string, stdout, stderr io.Writer) error {
+	fs := flag.NewFlagSet("cohort-analyze", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	var (
+		bench     = fs.String("bench", "fft", "benchmark profile")
+		cores     = fs.Int("cores", 4, "number of cores")
+		scale     = fs.Float64("scale", 0.05, "access-count scale factor")
+		seed      = fs.Uint64("seed", 42, "trace generator seed")
+		timers    = fs.String("timers", "300,20,20,-1", "comma-separated per-core timers")
+		sweep     = fs.Bool("sweep", false, "print the θ_is saturation sweep per core")
+		deadlines = fs.String("deadlines", "", "comma-separated per-core task deadlines in cycles (0 = none) for a schedulability check")
+		levels    = fs.Int("levels", 1, "criticality levels (for the hardware bill)")
+	)
+	if err := cliutil.Parse(fs, args); err != nil {
+		return err
 	}
-	tr := p.Scaled(*scale).Generate(*cores, 64, *seed)
+	// Reject values no analysis can use before any work.
+	switch {
+	case *cores < 1:
+		return cliutil.Usagef("-cores must be positive, got %d", *cores)
+	case !(*scale > 0):
+		return cliutil.Usagef("-scale must be positive, got %v", *scale)
+	case *levels < 1:
+		return cliutil.Usagef("-levels must be at least 1, got %d", *levels)
+	}
 	ths, err := parseTimers(*timers, *cores)
 	if err != nil {
-		fatal(err)
+		return cliutil.Usage(err)
 	}
+	var tasks []cohort.Task
+	if *deadlines != "" {
+		if tasks, err = parseDeadlines(*deadlines, *cores); err != nil {
+			return cliutil.Usage(err)
+		}
+	}
+	p, err := cohort.ProfileByName(*bench)
+	if err != nil {
+		return cliutil.Usagef("-bench: %v", err)
+	}
+	tr := p.Scaled(*scale).Generate(*cores, 64, *seed)
 	cfg, err := cohort.NewCoHoRT(*cores, *levels, ths)
 	if err != nil {
-		fatal(err)
+		return err
 	}
 
 	bounds, err := cohort.Bounds(cfg, tr)
 	if err != nil {
-		fatal(err)
+		return err
 	}
-	fmt.Printf("workload %s (Λ = %d per core), timers %v\n\n", tr.Name, tr.Lambda(0), ths)
-	fmt.Println("per-core analysis (Eq. 1 / Eq. 2-3):")
+	fmt.Fprintf(stdout, "workload %s (Λ = %d per core), timers %v\n\n", tr.Name, tr.Lambda(0), ths)
+	fmt.Fprintln(stdout, "per-core analysis (Eq. 1 / Eq. 2-3):")
 	for _, b := range bounds {
-		fmt.Printf("  core %d (θ=%-8v): WCL %6d, guaranteed hits %5d / misses %5d, WCML bound %10d\n",
+		fmt.Fprintf(stdout, "  core %d (θ=%-8v): WCL %6d, guaranteed hits %5d / misses %5d, WCML bound %10d\n",
 			b.Core, b.Theta, b.WCL, b.MHit, b.MMiss, b.WCMLBound)
 	}
 
 	if *sweep {
 		base := cohort.PaperDefaults(*cores, *levels)
-		fmt.Println("\nθ_is saturation sweep:")
+		fmt.Fprintln(stdout, "\nθ_is saturation sweep:")
 		for i, s := range tr.Streams {
 			thIS, satHits := cohort.SaturationTimer(s, base.L1, base.Lat)
-			fmt.Printf("  core %d: θ_is = %5v (%d of %d accesses guaranteed at saturation)\n",
+			fmt.Fprintf(stdout, "  core %d: θ_is = %5v (%d of %d accesses guaranteed at saturation)\n",
 				i, thIS, satHits, len(s))
 		}
 	}
 
-	if *deadlines != "" {
-		parts := strings.Split(*deadlines, ",")
-		if len(parts) != *cores {
-			fatal(fmt.Errorf("-deadlines has %d values for %d cores", len(parts), *cores))
-		}
-		var tasks []cohort.Task
-		for i, s := range parts {
-			d, err := strconv.ParseInt(strings.TrimSpace(s), 10, 64)
-			if err != nil || d < 0 {
-				fatal(fmt.Errorf("bad deadline %q", s))
-			}
-			if d == 0 {
-				d = 1 << 60 // unconstrained
-			}
-			tasks = append(tasks, cohort.Task{
-				Name:        fmt.Sprintf("task%d", i),
-				Core:        i,
-				Criticality: 1,
-				Deadline:    d,
-			})
-		}
+	if tasks != nil {
 		vs, err := cohort.Admission(tasks, bounds, 1, *levels)
 		if err != nil {
-			fatal(err)
+			return err
 		}
-		fmt.Println("\nschedulability:")
+		fmt.Fprintln(stdout, "\nschedulability:")
 		for _, v := range vs {
 			verdict := "OK"
 			if !v.Schedulable() {
 				verdict = "DEADLINE MISS POSSIBLE"
 			}
-			fmt.Printf("  %s: WCET bound %d vs deadline %d — %s\n",
+			fmt.Fprintf(stdout, "  %s: WCET bound %d vs deadline %d — %s\n",
 				v.Task.Name, v.WCET, v.Task.Deadline, verdict)
 		}
 		if cohort.SetSchedulable(vs) {
-			fmt.Println("  task set schedulable")
+			fmt.Fprintln(stdout, "  task set schedulable")
 		} else {
-			fmt.Println("  task set NOT schedulable")
+			fmt.Fprintln(stdout, "  task set NOT schedulable")
 		}
 	}
 
 	rep, err := cohort.HardwareCost(cfg)
 	if err != nil {
-		fatal(err)
+		return err
 	}
-	fmt.Printf("\n%s\n", rep)
+	fmt.Fprintf(stdout, "\n%s\n", rep)
+	return nil
 }
 
+// parseTimers parses one architectural timer per core: −1 (MSI), 0 (no
+// caching) or a countdown up to TimerMax.
 func parseTimers(s string, n int) ([]cohort.Timer, error) {
 	parts := strings.Split(s, ",")
-	if len(parts) != n {
-		return nil, fmt.Errorf("-timers has %d values for %d cores", len(parts), n)
-	}
-	out := make([]cohort.Timer, n)
+	out := make([]cohort.Timer, len(parts))
 	for i, p := range parts {
 		v, err := strconv.ParseInt(strings.TrimSpace(p), 10, 32)
 		if err != nil {
-			return nil, fmt.Errorf("bad timer %q: %v", p, err)
+			return nil, fmt.Errorf("-timers: bad timer %q: %v", p, err)
 		}
-		out[i] = cohort.Timer(v)
+		if out[i] = cohort.Timer(v); !out[i].Valid() {
+			return nil, fmt.Errorf("-timers: timer %d outside [-1, %d]", v, cohort.TimerMax)
+		}
+	}
+	if len(out) != n {
+		return nil, fmt.Errorf("-timers has %d values for %d cores", len(out), n)
 	}
 	return out, nil
 }
 
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "cohort-analyze:", err)
-	os.Exit(1)
+// parseDeadlines parses one task deadline per core (0 = unconstrained) into
+// the task set of the schedulability check.
+func parseDeadlines(s string, n int) ([]cohort.Task, error) {
+	parts := strings.Split(s, ",")
+	tasks := make([]cohort.Task, len(parts))
+	for i, p := range parts {
+		d, err := strconv.ParseInt(strings.TrimSpace(p), 10, 64)
+		if err != nil || d < 0 {
+			return nil, fmt.Errorf("-deadlines: bad deadline %q", p)
+		}
+		if d == 0 {
+			d = 1 << 60 // unconstrained
+		}
+		tasks[i] = cohort.Task{
+			Name:        fmt.Sprintf("task%d", i),
+			Core:        i,
+			Criticality: 1,
+			Deadline:    d,
+		}
+	}
+	if len(tasks) != n {
+		return nil, fmt.Errorf("-deadlines has %d values for %d cores", len(tasks), n)
+	}
+	return tasks, nil
 }

@@ -19,6 +19,7 @@ import (
 	"strings"
 
 	"cohort"
+	"cohort/internal/analysis"
 	"cohort/internal/cliutil"
 	"cohort/internal/experiments"
 	"cohort/internal/obs"
@@ -59,7 +60,7 @@ func run(args []string, stdout io.Writer, clk obs.Clock) error {
 		pop       = fs.Int("pop", 20, "GA population")
 		gens      = fs.Int("gens", 16, "GA generations")
 		md        = fs.Bool("md", false, "emit markdown tables")
-		memoStats = fs.Bool("memo-stats", false, "report memo-cache counters on stderr (counters are scheduling-dependent, never part of the tables)")
+		memoStats = fs.Bool("memo-stats", false, "report memo-cache and oracle-replay counters on stderr (counters are scheduling-dependent, never part of the tables)")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -296,9 +297,9 @@ func run(args []string, stdout io.Writer, clk obs.Clock) error {
 	if *memoStats {
 		// Routed through the registry machinery so the counters render in the
 		// same canonical form as every other metric. They live in their own
-		// throwaway registry, never the manifest one: the hit/miss split is
-		// scheduling-dependent, and manifest metrics must stay byte-identical
-		// across worker counts.
+		// throwaway registry, never the manifest one: the hit/miss split and
+		// the oracle's replay counts are scheduling-dependent above -j 1, and
+		// manifest metrics must stay byte-identical across worker counts.
 		sreg := obs.NewRegistry()
 		sreg.Gauge("memo_jobs_total").Set(engine.Jobs)
 		sreg.Gauge("memo_cache_hits").Set(engine.CacheHits)
@@ -306,6 +307,9 @@ func run(args []string, stdout io.Writer, clk obs.Clock) error {
 		generated, reused := experiments.TraceMemoStats()
 		sreg.Gauge("memo_traces_generated").Set(generated)
 		sreg.Gauge("memo_traces_reused").Set(reused)
+		_, replays, accesses := analysis.PlanWork()
+		sreg.Gauge("oracle_replays").Set(replays)
+		sreg.Gauge("oracle_accesses_replayed").Set(accesses)
 		log.Infof("cohort-bench memo:\n%s", strings.TrimSuffix(sreg.Snapshot().String(), "\n"))
 	}
 	if man != nil {

@@ -14,6 +14,7 @@ import (
 	"encoding/hex"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strconv"
 	"strings"
@@ -26,68 +27,74 @@ import (
 )
 
 func main() {
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// run executes one optimization, writing its report to stdout and
+// diagnostics to stderr, and returns the exit status: 0 on success, 2 for a
+// bad flag, 1 for any other failure.
+func run(args []string, stdout, stderr io.Writer) int {
+	return cliutil.Status("cohort-opt", optimize(args, stdout, stderr), stderr)
+}
+
+func optimize(args []string, stdout, stderr io.Writer) error {
+	fs := flag.NewFlagSet("cohort-opt", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	cu := cliutil.New("cohort-opt")
-	cu.RegisterWork(flag.CommandLine)
-	cu.RegisterObs(flag.CommandLine)
-	cu.RegisterProfile(flag.CommandLine)
+	cu.RegisterWork(fs)
+	cu.RegisterObs(fs)
+	cu.RegisterProfile(fs)
 	var (
-		bench = flag.String("bench", "fft", "benchmark profile")
-		cores = flag.Int("cores", 4, "number of cores")
-		scale = flag.Float64("scale", 0.05, "access-count scale factor")
-		seed  = flag.Uint64("seed", 42, "trace generator seed")
-		timed = flag.String("timed", "", "comma-separated 0/1 mask of GA-optimized cores (default: all)")
-		gamma = flag.String("gamma", "", "comma-separated per-core WCML requirements Γ in cycles (0 = none)")
-		pop   = flag.Int("pop", 32, "GA population size")
-		gens  = flag.Int("gens", 40, "GA generations")
-		gaSd  = flag.Uint64("ga-seed", 1, "GA random seed")
+		bench = fs.String("bench", "fft", "benchmark profile")
+		cores = fs.Int("cores", 4, "number of cores")
+		scale = fs.Float64("scale", 0.05, "access-count scale factor")
+		seed  = fs.Uint64("seed", 42, "trace generator seed")
+		timed = fs.String("timed", "", "comma-separated 0/1 mask of GA-optimized cores (default: all)")
+		gamma = fs.String("gamma", "", "comma-separated per-core WCML requirements Γ in cycles (0 = none)")
+		pop   = fs.Int("pop", 32, "GA population size")
+		gens  = fs.Int("gens", 40, "GA generations")
+		gaSd  = fs.Uint64("ga-seed", 1, "GA random seed")
 	)
-	flag.Parse()
+	if err := cliutil.Parse(fs, args); err != nil {
+		return err
+	}
+	gc := cohort.DefaultGA(*gaSd)
+	// Reject values no optimization can use before any work.
+	switch {
+	case *cores < 1:
+		return cliutil.Usagef("-cores must be positive, got %d", *cores)
+	case !(*scale > 0):
+		return cliutil.Usagef("-scale must be positive, got %v", *scale)
+	case *pop <= gc.Elite:
+		return cliutil.Usagef("-pop must exceed the GA's %d elite individuals, got %d", gc.Elite, *pop)
+	case *gens < 1:
+		return cliutil.Usagef("-gens must be at least 1, got %d", *gens)
+	}
+	timedMask, err := parseMask(*timed, *cores)
+	if err != nil {
+		return cliutil.Usage(err)
+	}
+	gammas, err := parseGammas(*gamma, *cores)
+	if err != nil {
+		return cliutil.Usage(err)
+	}
+	p, err := cohort.ProfileByName(*bench)
+	if err != nil {
+		return cliutil.Usagef("-bench: %v", err)
+	}
 
 	clk := obs.Clock(obs.WallClock{})
-	log, err := cu.Logger(os.Stderr, clk)
+	log, err := cu.Logger(stderr, clk)
 	if err != nil {
-		fatal(err)
+		return cliutil.Usagef("-log-level: %v", err)
 	}
 	stopProfiles, err := cu.StartProfiles(log)
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	defer stopProfiles()
 
-	p, err := cohort.ProfileByName(*bench)
-	if err != nil {
-		fatal(err)
-	}
 	tr := p.Scaled(*scale).Generate(*cores, 64, *seed)
-
-	timedMask := make([]bool, *cores)
-	for i := range timedMask {
-		timedMask[i] = true
-	}
-	if *timed != "" {
-		parts := strings.Split(*timed, ",")
-		if len(parts) != *cores {
-			fatal(fmt.Errorf("-timed has %d values for %d cores", len(parts), *cores))
-		}
-		for i, s := range parts {
-			timedMask[i] = strings.TrimSpace(s) == "1"
-		}
-	}
-	var gammas []int64
-	if *gamma != "" {
-		parts := strings.Split(*gamma, ",")
-		if len(parts) != *cores {
-			fatal(fmt.Errorf("-gamma has %d values for %d cores", len(parts), *cores))
-		}
-		for _, s := range parts {
-			v, err := strconv.ParseInt(strings.TrimSpace(s), 10, 64)
-			if err != nil {
-				fatal(fmt.Errorf("bad Γ %q: %v", s, err))
-			}
-			gammas = append(gammas, v)
-		}
-	}
-
 	base := cohort.PaperDefaults(*cores, 1)
 	prob := &cohort.Problem{
 		Lat:     base.Lat,
@@ -96,14 +103,13 @@ func main() {
 		Timed:   timedMask,
 		Gamma:   gammas,
 	}
-	gc := cohort.DefaultGA(*gaSd)
 	gc.Pop, gc.Generations = *pop, *gens
 	gc.Workers = cu.Jobs
 
 	var man *obs.Manifest
 	if cu.OutDir != "" {
 		man = obs.NewManifest("cohort-opt", clk)
-		man.Args = os.Args[1:]
+		man.Args = args
 		gc.Metrics = obs.NewRegistry()
 		gc.Recorder = obs.NewRecorder()
 	}
@@ -121,13 +127,13 @@ func main() {
 	}
 	srv, err := cu.StartServer(gc.Metrics, tracker, log)
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	defer srv.Close()
 
 	res, err := cohort.Optimize(prob, gc)
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	rh.Finish()
 
@@ -155,28 +161,29 @@ func main() {
 		man.Finish(clk)
 		path, err := man.Write(cu.OutDir)
 		if err != nil {
-			fatal(err)
+			return err
 		}
 		tracePath := strings.TrimSuffix(path, ".manifest.json") + ".trace.json"
 		tf, err := os.Create(tracePath)
 		if err != nil {
-			fatal(err)
+			return err
 		}
 		if err := gc.Recorder.WriteChrome(tf); err != nil {
-			fatal(err)
+			tf.Close()
+			return err
 		}
 		if err := tf.Close(); err != nil {
-			fatal(err)
+			return err
 		}
 		log.Infof("cohort-opt: wrote %s and %s", path, tracePath)
 	}
 
-	fmt.Printf("workload %s: %d oracle evaluations, feasible %v\n",
+	fmt.Fprintf(stdout, "workload %s: %d oracle evaluations, feasible %v\n",
 		tr.Name, res.Evaluations, res.Eval.Feasible())
 	if res.Engine.Jobs > 0 {
-		fmt.Printf("memo-cache: %s\n", res.Engine)
+		fmt.Fprintf(stdout, "memo-cache: %s\n", res.Engine)
 	}
-	fmt.Printf("objective (avg worst-case cycles per request, summed over timed cores): %.2f\n",
+	fmt.Fprintf(stdout, "objective (avg worst-case cycles per request, summed over timed cores): %.2f\n",
 		res.Eval.Objective)
 	g := 0
 	for i, th := range res.Timers {
@@ -185,19 +192,63 @@ func main() {
 			line += fmt.Sprintf("   (θ_is = %v)", res.ThetaIS[g])
 			g++
 		}
-		fmt.Println(line)
+		fmt.Fprintln(stdout, line)
 	}
-	fmt.Println("per-core bounds at the chosen timers:")
+	fmt.Fprintln(stdout, "per-core bounds at the chosen timers:")
 	for _, b := range res.Eval.PerCore {
-		fmt.Printf("  core %d: WCL %d, guaranteed hits %d / misses %d, WCML bound %d\n",
+		fmt.Fprintf(stdout, "  core %d: WCL %d, guaranteed hits %d / misses %d, WCML bound %d\n",
 			b.Core, b.WCL, b.MHit, b.MMiss, b.WCMLBound)
 	}
 	if len(res.BestHistory) > 0 {
-		fmt.Printf("best fitness: first generation %.2f → last %.2f\n",
+		fmt.Fprintf(stdout, "best fitness: first generation %.2f → last %.2f\n",
 			res.BestHistory[0], res.BestHistory[len(res.BestHistory)-1])
 	}
+	return nil
 }
 
-func fatal(err error) {
-	cliutil.Fatal("cohort-opt", err)
+// parseMask parses the -timed mask: one 0 or 1 per core, all timed when
+// empty.
+func parseMask(s string, n int) ([]bool, error) {
+	if s == "" {
+		out := make([]bool, n)
+		for i := range out {
+			out[i] = true
+		}
+		return out, nil
+	}
+	var out []bool
+	for _, p := range strings.Split(s, ",") {
+		switch strings.TrimSpace(p) {
+		case "1":
+			out = append(out, true)
+		case "0":
+			out = append(out, false)
+		default:
+			return nil, fmt.Errorf("-timed: bad mask value %q (want 0 or 1)", p)
+		}
+	}
+	if len(out) != n {
+		return nil, fmt.Errorf("-timed has %d values for %d cores", len(out), n)
+	}
+	return out, nil
+}
+
+// parseGammas parses the -gamma requirements: one non-negative WCML bound
+// in cycles per core (0 = none), or nil when empty.
+func parseGammas(s string, n int) ([]int64, error) {
+	if s == "" {
+		return nil, nil
+	}
+	var out []int64
+	for _, p := range strings.Split(s, ",") {
+		v, err := strconv.ParseInt(strings.TrimSpace(p), 10, 64)
+		if err != nil || v < 0 {
+			return nil, fmt.Errorf("-gamma: bad requirement %q", p)
+		}
+		out = append(out, v)
+	}
+	if len(out) != n {
+		return nil, fmt.Errorf("-gamma has %d values for %d cores", len(out), n)
+	}
+	return out, nil
 }

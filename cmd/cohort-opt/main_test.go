@@ -1,0 +1,62 @@
+package main
+
+import (
+	"bytes"
+	"strings"
+	"testing"
+)
+
+// TestRunRejectsBadFlags drives the CLI with flag values no optimization
+// can use. Each exits 2, names the flag on stderr and writes nothing to
+// stdout; none may panic.
+func TestRunRejectsBadFlags(t *testing.T) {
+	tests := []struct {
+		name    string
+		args    []string
+		wantErr string
+	}{
+		{"zero cores", []string{"-cores", "0"}, "-cores"},
+		{"zero scale", []string{"-scale", "0"}, "-scale"},
+		{"negative scale", []string{"-scale", "-1"}, "-scale"},
+		{"NaN scale", []string{"-scale", "NaN"}, "-scale"},
+		{"population of one", []string{"-pop", "1"}, "-pop"},
+		{"population within the elite", []string{"-pop", "2"}, "-pop"},
+		{"zero generations", []string{"-gens", "0"}, "-gens"},
+		{"unparsable gamma", []string{"-gamma", "x"}, "-gamma: bad requirement"},
+		{"negative gamma", []string{"-gamma", "0,-5,0,0"}, "-gamma"},
+		{"gamma count", []string{"-gamma", "0,0"}, "-gamma has 2 values for 4 cores"},
+		{"bad mask value", []string{"-timed", "1,1,x,0"}, "-timed: bad mask value"},
+		{"mask count", []string{"-timed", "1,0"}, "-timed has 2 values for 4 cores"},
+		{"unknown benchmark", []string{"-bench", "nosuch"}, "-bench"},
+		{"bad log level", []string{"-log-level", "loud"}, "-log-level"},
+		{"undefined flag", []string{"-nosuchflag"}, "-nosuchflag"},
+	}
+	for _, tt := range tests {
+		t.Run(tt.name, func(t *testing.T) {
+			var stdout, stderr bytes.Buffer
+			if got := run(tt.args, &stdout, &stderr); got != 2 {
+				t.Fatalf("exit %d, want 2; stderr:\n%s", got, stderr.String())
+			}
+			if !strings.Contains(stderr.String(), tt.wantErr) {
+				t.Errorf("stderr does not name %q:\n%s", tt.wantErr, stderr.String())
+			}
+			if stdout.Len() != 0 {
+				t.Errorf("rejected run wrote stdout:\n%s", stdout.String())
+			}
+		})
+	}
+}
+
+// TestRunReportsOptimum runs a small optimization with a mask and
+// requirements: it exits 0 and reports θ_is only for the timed cores.
+func TestRunReportsOptimum(t *testing.T) {
+	var stdout, stderr bytes.Buffer
+	args := []string{"-bench", "radix", "-scale", "0.01", "-timed", "1,1,0,0", "-gamma", "0,2000000,0,0", "-pop", "6", "-gens", "3", "-j", "1"}
+	if got := run(args, &stdout, &stderr); got != 0 {
+		t.Fatalf("exit %d; stderr:\n%s", got, stderr.String())
+	}
+	out := stdout.String()
+	if !strings.HasPrefix(out, "workload radix: ") || strings.Count(out, "θ_is") != 2 {
+		t.Fatalf("unexpected report:\n%s", out)
+	}
+}

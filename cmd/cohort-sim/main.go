@@ -14,7 +14,6 @@ package main
 import (
 	"encoding/hex"
 	"encoding/json"
-	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -33,32 +32,11 @@ func main() {
 	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
 }
 
-// usageError is a flag value the simulation rejects. It exits 2, as a flag
-// the flag package cannot parse does.
-type usageError struct{ error }
-
-func usagef(format string, a ...any) error { return usageError{fmt.Errorf(format, a...)} }
-
-// errFlagSyntax reports flags the flag package rejected; it has already
-// printed why, with the usage.
-var errFlagSyntax = errors.New("bad flags")
-
 // run executes one simulation, writing its report to stdout and
 // diagnostics to stderr, and returns the exit status: 0 on success, 2 for a
 // bad flag, 1 for any other failure.
 func run(args []string, stdout, stderr io.Writer) int {
-	err := simulate(args, stdout, stderr)
-	switch {
-	case err == nil || errors.Is(err, flag.ErrHelp):
-		return 0
-	case errors.Is(err, errFlagSyntax):
-		return 2
-	}
-	fmt.Fprintln(stderr, "cohort-sim:", err)
-	if errors.As(err, new(usageError)) {
-		return 2
-	}
-	return 1
+	return cliutil.Status("cohort-sim", simulate(args, stdout, stderr), stderr)
 }
 
 func simulate(args []string, stdout, stderr io.Writer) error {
@@ -88,28 +66,25 @@ func simulate(args []string, stdout, stderr io.Writer) error {
 		chromeFile = fs.String("chrome", "", "write a Chrome trace (Perfetto) of the run to this file")
 		attr       = fs.Bool("attr", false, "register the per-core WCML latency-attribution metrics (with -out-dir: included in the manifest snapshot)")
 	)
-	if err := fs.Parse(args); err != nil {
-		if errors.Is(err, flag.ErrHelp) {
-			return err
-		}
-		return errFlagSyntax
+	if err := cliutil.Parse(fs, args); err != nil {
+		return err
 	}
 	// Reject values no simulation can use before any work.
 	switch {
 	case *cores < 1:
-		return usagef("-cores must be positive, got %d", *cores)
+		return cliutil.Usagef("-cores must be positive, got %d", *cores)
 	case *scale <= 0:
-		return usagef("-scale must be positive, got %v", *scale)
+		return cliutil.Usagef("-scale must be positive, got %v", *scale)
 	case *levels < 1:
-		return usagef("-levels must be at least 1, got %d", *levels)
+		return cliutil.Usagef("-levels must be at least 1, got %d", *levels)
 	case *crit != "" && *system != "pendulum":
-		return usagef("-crit applies only to -system pendulum, not %q", *system)
+		return cliutil.Usagef("-crit applies only to -system pendulum, not %q", *system)
 	}
 
 	clk := obs.Clock(obs.WallClock{})
 	log, err := cu.Logger(stderr, clk)
 	if err != nil {
-		return usageError{err}
+		return cliutil.Usage(err)
 	}
 	stopProfiles, err := cu.StartProfiles(log)
 	if err != nil {
@@ -128,7 +103,7 @@ func simulate(args []string, stdout, stderr io.Writer) error {
 	case "cohort":
 		ths, err := parseTimers(*timers, n)
 		if err != nil {
-			return usageError{err}
+			return cliutil.Usage(err)
 		}
 		cfg, err = cohort.NewCoHoRT(n, *levels, ths)
 		if err != nil {
@@ -139,13 +114,13 @@ func simulate(args []string, stdout, stderr io.Writer) error {
 	case "pendulum":
 		mask, err := parseMask(*crit, n)
 		if err != nil {
-			return usageError{err}
+			return cliutil.Usage(err)
 		}
 		cfg = cohort.NewPENDULUM(mask)
 	case "msifcfs":
 		cfg = cohort.NewMSIFCFS(n)
 	default:
-		return usagef("unknown -system %q", *system)
+		return cliutil.Usagef("unknown -system %q", *system)
 	}
 	if *nonperfect {
 		cfg.PerfectLLC = false
@@ -227,15 +202,15 @@ func simulate(args []string, stdout, stderr io.Writer) error {
 		for _, part := range strings.Split(*switches, ",") {
 			cm := strings.SplitN(part, ":", 2)
 			if len(cm) != 2 {
-				return usagef("bad -switch entry %q (want cycle:mode)", part)
+				return cliutil.Usagef("bad -switch entry %q (want cycle:mode)", part)
 			}
 			cyc, err1 := strconv.ParseInt(cm[0], 10, 64)
 			mode, err2 := strconv.Atoi(cm[1])
 			if err1 != nil || err2 != nil {
-				return usagef("bad -switch entry %q", part)
+				return cliutil.Usagef("bad -switch entry %q", part)
 			}
 			if err := sys.ScheduleModeSwitch(cyc, mode); err != nil {
-				return usagef("-switch: %w", err)
+				return cliutil.Usagef("-switch: %w", err)
 			}
 		}
 	}
@@ -351,7 +326,7 @@ func loadTrace(path, din, bench string, cores int, scale float64, seed uint64) (
 	}
 	p, err := cohort.ProfileByName(bench)
 	if err != nil {
-		return nil, usageError{err}
+		return nil, cliutil.Usage(err)
 	}
 	return p.Scaled(scale).Generate(cores, 64, seed), nil
 }

@@ -1,26 +1,34 @@
 // Regime-interval oracle: the exact, lazily filled form of the in-isolation
 // analysis that the optimizer queries.
 //
-// A single replay at a fixed θ yields more than its own split. Every branch
-// the replay takes stays identical for every θ' ≥ θ up to the first access
-// whose classification can change, and the smallest such θ' — nextBreak —
-// is directly readable off the replay: it is the minimum "flip age"
-// now − fetchedAt over the window misses whose kind condition holds (a read,
-// or a write finding a Modified copy). No per-access monotonicity is assumed
-// and none holds (DESIGN.md §14 gives a counterexample). What does hold is
-// regime constancy: for every integer θ' in [θ, nextBreak) the entire
-// replay — every lookup, every window test, every victim choice — is
-// access-for-access identical to the replay at θ. So one replay answers the
-// whole half-open interval [θ, nextBreak), and a RegimeSet that records
-// those intervals answers any later θ' inside one with a binary search.
+// A single replay at a fixed θ yields more than its own split. Each access
+// of the replay takes a branch decided by at most one comparison with θ: a
+// hit needs its age now − fetchedAt ≤ θ, and a window miss (its kind
+// condition holds: a read, or a write finding a Modified copy) has an age
+// above θ. So every θ′ from the largest hit age up to, but not including,
+// the smallest window-miss age takes the same branches, access for access,
+// and the replay at θ answers that whole interval. No per-access
+// monotonicity is assumed and none holds (DESIGN.md §14 gives a
+// counterexample); what holds is regime constancy on that two-sided
+// interval, and both of its ends are tight, so the regimes of two replays
+// are equal or disjoint. A RegimeSet that records them answers any later θ′
+// inside one with a binary search.
+//
+// The replay itself splits in two. Which line each access finds, the slot it
+// lands in and every LRU victim depend only on the access sequence: every
+// access leaves its line resident and most recently used, whether it hits,
+// refills in place or fills a victim. A Plan records that θ-independent part
+// once, and each replay walks the record with θ, tracking only each slot's
+// fetch time and Modified bit.
 package analysis
 
 import (
 	"fmt"
+	"math"
 	"math/bits"
 	"sync"
+	"sync/atomic"
 
-	"cohort/internal/cache"
 	"cohort/internal/config"
 	"cohort/internal/trace"
 )
@@ -46,29 +54,47 @@ type Regime struct {
 	Hits, Misses int64
 }
 
-// replayEntry is one cache-line slot of the replay's private cache: the
-// fields of cache.Entry the in-isolation analysis reads.
-type replayEntry struct {
-	lineAddr  uint64
-	fetchedAt int64
-	lastUse   uint64
-	state     cache.State
+// planWork counts the compiled-plan work of the whole process.
+var planWork struct{ compiles, replays, accesses atomic.Int64 }
+
+// PlanWork reports the process-wide oracle work so far: plans compiled,
+// replays run, and the accesses those replays walked.
+func PlanWork() (compiles, replays, accesses int64) {
+	return planWork.compiles.Load(), planWork.replays.Load(), planWork.accesses.Load()
 }
 
-// Replay runs GuaranteedHits(s, geom, lat, θ, wcl) — the same branch
-// sequence, bit for bit — and returns the regime containing θ: End is the
-// smallest θ' > θ at which the classification can first differ, or
-// TimerMax+1 when no θ' in the timed domain changes anything. θ must lie in
-// [1, TimerMax]. The geometry must satisfy the constraints cache.New
-// enforces (power-of-two line size and set count); violations panic.
-func Replay(s trace.Stream, geom config.CacheGeometry, lat config.Latencies, theta config.Timer, wcl int64) Regime {
-	if !theta.Timed() || theta > config.TimerMax {
-		panic(fmt.Sprintf("analysis: replay at θ=%d outside the timed domain", theta))
-	}
-	if wcl <= 0 {
-		// Same guard, same message as the scalar kernel.
-		panic(fmt.Sprintf("analysis: non-positive WCL %d", wcl))
-	}
+// step is one access of a compiled plan.
+type step struct {
+	gap int64
+	// slot is the access's cache slot, set*ways + way.
+	slot uint32
+	// op holds stepRead for a load and stepResident when the access finds
+	// its line in the cache.
+	op uint32
+}
+
+const (
+	stepRead     = 1 << 0
+	stepResident = 1 << 1
+)
+
+// Plan is a stream compiled for repeated replays on one geometry: per
+// access its gap, its cache slot, whether its line is resident and whether
+// it is a load. It is built by NewPlan and compiled on its first replay, at
+// most once; all methods are safe for concurrent use.
+type Plan struct {
+	s         trace.Stream
+	lineShift uint
+	setMask   uint64
+	ways      int
+	once      sync.Once
+	steps     []step
+}
+
+// NewPlan returns the uncompiled plan of s on geom. The geometry must
+// satisfy the constraints cache.New enforces (power-of-two line size and set
+// count); violations panic.
+func NewPlan(s trace.Stream, geom config.CacheGeometry) *Plan {
 	if geom.SizeBytes <= 0 || geom.LineBytes <= 0 || geom.Ways <= 0 {
 		panic("analysis: non-positive replay geometry")
 	}
@@ -79,89 +105,121 @@ func Replay(s trace.Stream, geom config.CacheGeometry, lat config.Latencies, the
 	if nSets <= 0 || bits.OnesCount(uint(nSets)) != 1 {
 		panic(fmt.Sprintf("analysis: set count %d not a positive power of two", nSets))
 	}
-	lineShift := uint(bits.TrailingZeros(uint(geom.LineBytes)))
-	setMask := uint64(nSets - 1)
-	ways := geom.Ways
-	ents := make([]replayEntry, nSets*ways)
+	if uint64(nSets*geom.Ways) > math.MaxUint32 {
+		panic(fmt.Sprintf("analysis: %d cache slots overflow a plan's slot index", nSets*geom.Ways))
+	}
+	return &Plan{
+		s:         s,
+		lineShift: uint(bits.TrailingZeros(uint(geom.LineBytes))),
+		setMask:   uint64(nSets - 1),
+		ways:      geom.Ways,
+	}
+}
 
-	var hits, misses int64
-	window := int64(theta)
-	now := int64(0)
-	next := int64(domainEnd)
-	useClock := uint64(0)
-	for ai := range s {
-		a := &s[ai]
-		line := a.Addr >> lineShift
-		row := int(line&setMask) * ways
-		isRead := a.Kind == trace.Read
-		now += a.Gap
-		hit := -1
-		for w := 0; w < ways; w++ {
-			e := &ents[row+w]
-			if e.state != cache.Invalid && e.lineAddr == line {
-				hit = w
+// slots returns the number of cache slots, sets × ways.
+func (p *Plan) slots() int { return int(p.setMask+1) * p.ways }
+
+// compile runs the θ-independent pass: tag lookup and strict-LRU victim
+// selection, with the first invalid way, else the lowest way among equally
+// old ones, winning — exactly cache.VictimFor with no pinning.
+func (p *Plan) compile() {
+	planWork.compiles.Add(1)
+	tags := make([]uint64, p.slots())
+	lastUse := make([]uint64, p.slots()) // 0 marks an invalid way
+	steps := make([]step, len(p.s))
+	clock := uint64(0)
+	for i := range p.s {
+		a := &p.s[i]
+		line := a.Addr >> p.lineShift
+		row := int(line&p.setMask) * p.ways
+		way := -1
+		for w := 0; w < p.ways; w++ {
+			if lastUse[row+w] != 0 && tags[row+w] == line {
+				way = w
 				break
 			}
 		}
-		st := cache.Shared
-		if !isRead {
-			st = cache.Modified
-		}
-		if hit >= 0 {
-			e := &ents[row+hit]
-			if now <= e.fetchedAt+window && (isRead || e.state == cache.Modified) {
-				hits++
-				now += lat.Hit
-				useClock++
-				e.lastUse = useClock
-				continue
-			}
-			if isRead || e.state == cache.Modified {
-				// A pure window miss: θ' ≥ now − fetchedAt would classify
-				// this access a hit (the kind condition already holds), so
-				// its age is a candidate breakpoint.
-				if age := now - e.fetchedAt; age < next {
-					next = age
+		resident := way >= 0
+		if !resident {
+			for w := 0; w < p.ways; w++ {
+				if lastUse[row+w] == 0 {
+					way = w
+					break
+				}
+				if way == -1 || lastUse[row+w] < lastUse[row+way] {
+					way = w
 				}
 			}
-			// Present but outside the window (or an upgrade): re-fill in
-			// place with a fresh window.
-			misses++
-			now += wcl
-			e.lineAddr, e.state, e.fetchedAt = line, st, now
-			useClock++
-			e.lastUse = useClock
-			continue
+			tags[row+way] = line
 		}
-		// Cold or capacity miss: first invalid way, else strict-LRU with the
-		// lowest way winning ties — exactly cache.VictimFor with no pinning.
-		misses++
-		now += wcl
-		victim := -1
-		for w := 0; w < ways; w++ {
-			e := &ents[row+w]
-			if e.state == cache.Invalid {
-				victim = w
-				break
-			}
-			if victim == -1 || e.lastUse < ents[row+victim].lastUse {
-				victim = w
-			}
+		clock++
+		lastUse[row+way] = clock
+		st := step{gap: a.Gap, slot: uint32(row + way)}
+		if a.Kind == trace.Read {
+			st.op |= stepRead
 		}
-		e := &ents[row+victim]
-		e.lineAddr, e.state, e.fetchedAt = line, st, now
-		useClock++
-		e.lastUse = useClock
+		if resident {
+			st.op |= stepResident
+		}
+		steps[i] = st
 	}
-	return Regime{Start: theta, End: config.Timer(next), Hits: hits, Misses: misses}
+	p.steps = steps
+}
+
+// Replay runs GuaranteedHits(s, geom, lat, θ, wcl) — the same branch
+// sequence, bit for bit — and returns the regime containing θ: Start is the
+// largest hit age (at least 1) and End the smallest window-miss age, or
+// TimerMax+1 when no θ′ in the timed domain turns a miss into a hit. θ must
+// lie in [1, TimerMax].
+func (p *Plan) Replay(lat config.Latencies, theta config.Timer, wcl int64) Regime {
+	if !theta.Timed() || theta > config.TimerMax {
+		panic(fmt.Sprintf("analysis: replay at θ=%d outside the timed domain", theta))
+	}
+	if wcl <= 0 {
+		// Same guard, same message as the scalar kernel.
+		panic(fmt.Sprintf("analysis: non-positive WCL %d", wcl))
+	}
+	p.once.Do(p.compile)
+	planWork.replays.Add(1)
+	planWork.accesses.Add(int64(len(p.steps)))
+
+	// cells[slot] is the slot's fetch time shifted left by one, with the
+	// Modified bit in bit 0.
+	steps, cells := p.steps, make([]int64, p.slots())
+	hitCost, window := lat.Hit, int64(theta)
+	var hits, now int64
+	start, end := int64(1), int64(domainEnd)
+	for _, st := range steps {
+		now += st.gap
+		c := &cells[st.slot]
+		// Resident, and a load or a store finding its line Modified: one
+		// test, as the Modified bit stands in for stepRead.
+		if uint32(*c)&1|st.op == stepRead|stepResident {
+			// The kind condition holds, so θ alone decides: a hit at every
+			// θ′ ≥ age, a window miss at every θ′ < age.
+			age := now - *c>>1
+			if age <= window {
+				hits++
+				now += hitCost
+				start = max(start, age)
+				continue
+			}
+			end = min(end, age)
+		}
+		// A window miss, an upgrade or a cold or capacity miss: the line is
+		// (re)filled in its slot with a fresh window.
+		now += wcl
+		*c = now<<1 | int64(^st.op&stepRead)
+	}
+	return Regime{Start: config.Timer(start), End: config.Timer(end), Hits: hits, Misses: int64(len(steps)) - hits}
 }
 
 // RegimeSet is the lazily filled step function θ → (hits, misses) of one
 // stream's in-isolation analysis: disjoint half-open regimes sorted by
-// start. It holds no reference to the stream — callers pass the stream to
-// each call that may replay — so a set shared process-wide keeps nothing
-// alive but its intervals. The zero value is an empty set; all methods are
-// safe for concurrent use.
+// start. It holds no reference to the stream — callers pass the stream's
+// plan to each call that may replay — so a set shared process-wide keeps
+// nothing alive but its intervals. The zero value is an empty set; all
+// methods are safe for concurrent use.
 type RegimeSet struct {
 	mu      sync.Mutex
 	regimes []Regime
@@ -195,10 +253,12 @@ func (rs *RegimeSet) upper(theta config.Timer) int {
 	return lo
 }
 
-// Insert records a regime returned by Replay. A regime already covered is
-// dropped. Two replays inside one true regime share its end, so a regime
-// overlapping its successor extends that successor downward instead of
-// being stored twice.
+// Insert records a regime returned by Plan.Replay, clipped to the gap
+// between its recorded neighbours, and drops it when nothing is left. Exact
+// regimes are equal or disjoint, so an equal regime is dropped and any other
+// is inserted whole, in order. Under a seeded RegimeEndSkew the clip keeps
+// the set disjoint, and every replayed θ stays covered: it lies in the
+// clipped regime or in its widened predecessor.
 func (rs *RegimeSet) Insert(r Regime) {
 	if sk := TestHooks.RegimeEndSkew; sk != 0 {
 		r.End = min(r.End+sk, domainEnd)
@@ -206,11 +266,13 @@ func (rs *RegimeSet) Insert(r Regime) {
 	rs.mu.Lock()
 	defer rs.mu.Unlock()
 	i := rs.upper(r.Start)
-	if i > 0 && r.Start < rs.regimes[i-1].End {
-		return
+	if i > 0 {
+		r.Start = max(r.Start, rs.regimes[i-1].End)
 	}
-	if i < len(rs.regimes) && r.End > rs.regimes[i].Start {
-		rs.regimes[i].Start = r.Start
+	if i < len(rs.regimes) {
+		r.End = min(r.End, rs.regimes[i].Start)
+	}
+	if r.Start >= r.End {
 		return
 	}
 	rs.regimes = append(rs.regimes, Regime{})
@@ -219,13 +281,13 @@ func (rs *RegimeSet) Insert(r Regime) {
 }
 
 // IsolationHits answers IsolationHits(s, geom, lat, θ) for a timed θ from
-// the set, replaying and recording the regime on a miss. s, geom and lat
-// must be the ones every earlier regime of the set was replayed from.
-func (rs *RegimeSet) IsolationHits(s trace.Stream, geom config.CacheGeometry, lat config.Latencies, theta config.Timer) (hits, misses int64) {
+// the set, replaying p and recording the regime on a miss. p and lat must
+// be the ones every earlier regime of the set was replayed from.
+func (rs *RegimeSet) IsolationHits(p *Plan, lat config.Latencies, theta config.Timer) (hits, misses int64) {
 	if h, m, ok := rs.Lookup(theta); ok {
 		return h, m
 	}
-	r := Replay(s, geom, lat, theta, lat.SlotWidth())
+	r := p.Replay(lat, theta, lat.SlotWidth())
 	rs.Insert(r)
 	return r.Hits, r.Misses
 }
@@ -234,9 +296,9 @@ func (rs *RegimeSet) IsolationHits(s trace.Stream, geom config.CacheGeometry, la
 // set: the same probe sequence, each probe a lookup or one recorded replay,
 // so the result is bit-identical and later queries reuse every regime the
 // sweep found.
-func (rs *RegimeSet) SaturationTimer(s trace.Stream, geom config.CacheGeometry, lat config.Latencies) (config.Timer, int64) {
+func (rs *RegimeSet) SaturationTimer(p *Plan, lat config.Latencies) (config.Timer, int64) {
 	return saturationSweep(func(th config.Timer) int64 {
-		h, _ := rs.IsolationHits(s, geom, lat, th)
+		h, _ := rs.IsolationHits(p, lat, th)
 		return h
 	})
 }

@@ -28,13 +28,17 @@ func fuzzStream(data []byte) trace.Stream {
 }
 
 // FuzzCurveVsScalar replays a random trace prefix at a fuzzer-chosen θ grid
-// and asserts regime constancy against the scalar GuaranteedHits: each
-// replay's split must hold at θ itself, at the regime's last member
-// End−1, and at a fuzzed θ′ between them. Every regime is then inserted into
-// one RegimeSet — the lazily filled hit curve θ → (hits, misses) — which
-// must answer the same points identically; grid values that share a regime
-// exercise the set's overlap merge. The encoding is a geometry byte, a grid
-// width byte, one θ byte per grid point, then three bytes per access.
+// through one compiled plan and asserts exact two-sided regimes against the
+// scalar GuaranteedHits: each replay's regime must satisfy
+// 1 ≤ Start ≤ θ < End, and its split must hold at Start, at θ, at a fuzzed
+// θ′ inside the regime and at its last member End−1. Both ends must be
+// tight: the replay at Start−1 ends at Start, and the replay at End starts
+// at End, whenever those lie in the timed domain. Every regime is then
+// inserted into one RegimeSet — the lazily filled hit curve
+// θ → (hits, misses) — which must answer the same points identically; grid
+// values that share a regime exercise the set's equal-regime drop. The
+// encoding is a geometry byte, a grid width byte, one θ byte per grid point,
+// then three bytes per access.
 //
 //	go test -fuzz FuzzCurveVsScalar ./internal/analysis
 func FuzzCurveVsScalar(f *testing.F) {
@@ -67,22 +71,33 @@ func FuzzCurveVsScalar(f *testing.F) {
 		s := fuzzStream(data[2+width:])
 		lat := config.Latencies{Hit: 1, Req: 4, Data: 50}
 		wcl := lat.SlotWidth()
+		plan := NewPlan(s, geom)
 		var rs RegimeSet
 		var probes []config.Timer
 		for i, th := range thetas {
-			r := Replay(s, geom, lat, th, wcl)
-			if r.Start != th || r.End <= th || r.End > config.TimerMax+1 {
+			r := plan.Replay(lat, th, wcl)
+			if r.Start < 1 || r.Start > th || r.End <= th || r.End > config.TimerMax+1 {
 				t.Fatalf("θ=%v: malformed regime [%v, %v)", th, r.Start, r.End)
 			}
-			// θ′ drawn from the next grid byte, inside [θ, End).
-			mid := th + config.Timer(data[2+(i+1)%width])%(r.End-th)
-			for _, p := range []config.Timer{th, mid, r.End - 1} {
+			// θ′ drawn from the next grid byte, inside [Start, End).
+			mid := r.Start + config.Timer(data[2+(i+1)%width])%(r.End-r.Start)
+			for _, p := range []config.Timer{r.Start, th, mid, r.End - 1} {
 				wantH, wantM := GuaranteedHits(s, geom, lat, p, wcl)
 				if r.Hits != wantH || r.Misses != wantM {
 					t.Fatalf("θ=%v regime [%v, %v) at θ′=%v: replay (%d,%d) != scalar (%d,%d)",
 						th, r.Start, r.End, p, r.Hits, r.Misses, wantH, wantM)
 				}
 				probes = append(probes, p)
+			}
+			if r.Start > 1 {
+				if below := plan.Replay(lat, r.Start-1, wcl); below.End != r.Start {
+					t.Fatalf("θ=%v regime [%v, %v): the replay at Start−1 ends at %v, not Start", th, r.Start, r.End, below.End)
+				}
+			}
+			if r.End <= config.TimerMax {
+				if above := plan.Replay(lat, r.End, wcl); above.Start != r.End {
+					t.Fatalf("θ=%v regime [%v, %v): the replay at End starts at %v, not End", th, r.Start, r.End, above.Start)
+				}
 			}
 			rs.Insert(r)
 		}
@@ -143,8 +158,9 @@ func FuzzBatchVsScalar(f *testing.F) {
 			}
 		}
 		var rs RegimeSet
+		plan := NewPlan(s, geom) // compiled by the first job to replay it
 		regimes := parallel.Map(4, len(timed), func(k int) Regime {
-			return Replay(s, geom, lat, timed[k], lat.SlotWidth())
+			return plan.Replay(lat, timed[k], lat.SlotWidth())
 		})
 		for _, r := range regimes {
 			rs.Insert(r)
@@ -174,7 +190,7 @@ func FuzzBatchVsScalar(f *testing.F) {
 			if !th.Timed() {
 				continue
 			}
-			gotH, gotM := rs.IsolationHits(s, geom, lat, th)
+			gotH, gotM := rs.IsolationHits(plan, lat, th)
 			wantH, wantM := answer(th)
 			if gotH != wantH || gotM != wantM {
 				t.Fatalf("col %d θ=%v: re-answer (%d,%d) != first answer (%d,%d)", c, th, gotH, gotM, wantH, wantM)

@@ -1,6 +1,7 @@
 package analysis
 
 import (
+	"reflect"
 	"sync"
 	"testing"
 
@@ -28,7 +29,8 @@ func testStream(name string, seed uint64, t testing.TB) trace.Stream {
 
 // TestHitCurveDifferential is regime constancy at unit level: across
 // geometries × streams × per-miss costs, walk the whole hit curve
-// θ → (hits, misses) regime by regime (each replay starts at the previous regime's end) and check the
+// θ → (hits, misses) regime by regime (each replay runs at the previous
+// regime's end and, the ends being tight, must start there) and check the
 // split against the scalar GuaranteedHits at every regime's first and last
 // member and at a spread of interior points.
 func TestHitCurveDifferential(t *testing.T) {
@@ -37,6 +39,7 @@ func TestHitCurveDifferential(t *testing.T) {
 		for _, name := range []string{"fft", "water"} {
 			for _, seed := range []uint64{1, 42, 7777} {
 				s := testStream(name, seed, t)
+				plan := NewPlan(s, geom)
 				for _, wcl := range []int64{lat.SlotWidth(), 1, 977} {
 					check := func(r Regime, th config.Timer) {
 						t.Helper()
@@ -48,7 +51,7 @@ func TestHitCurveDifferential(t *testing.T) {
 					}
 					regimes := 0
 					for th := config.Timer(1); th <= config.TimerMax; regimes++ {
-						r := Replay(s, geom, lat, th, wcl)
+						r := plan.Replay(lat, th, wcl)
 						if r.Start != th || r.End <= th {
 							t.Fatalf("θ=%v: malformed regime [%v, %v)", th, r.Start, r.End)
 						}
@@ -78,7 +81,7 @@ func TestHitCurveSaturationTimer(t *testing.T) {
 			for _, seed := range []uint64{1, 42, 7777} {
 				s := testStream(name, seed, t)
 				var rs RegimeSet
-				gotTh, gotHits := rs.SaturationTimer(s, geom, lat)
+				gotTh, gotHits := rs.SaturationTimer(NewPlan(s, geom), lat)
 				wantTh, wantHits := SaturationTimer(s, geom, lat)
 				if gotTh != wantTh || gotHits != wantHits {
 					t.Fatalf("geom %+v %s/%d: set sweep (θ=%v, hits=%d) != scalar (θ=%v, hits=%d)",
@@ -92,37 +95,65 @@ func TestHitCurveSaturationTimer(t *testing.T) {
 	}
 }
 
-// TestRegimeSetInsert pins the interval bookkeeping: gaps miss, covered
-// regimes are dropped, a regime overlapping its successor (two replays in
-// one true regime) extends the successor downward, and order is kept.
+// TestRegimeSetInsert pins the interval bookkeeping on exact regimes:
+// gaps miss, an equal regime is dropped, a disjoint one is inserted in
+// order, and a regime may reach the domain end. Under a seeded end skew the
+// widened regimes overlap their neighbours; inserts must keep the set
+// disjoint and every replayed θ covered.
 func TestRegimeSetInsert(t *testing.T) {
 	var rs RegimeSet
 	rs.Insert(Regime{Start: 10, End: 20, Hits: 1, Misses: 9})
 	rs.Insert(Regime{Start: 40, End: 50, Hits: 3, Misses: 7})
 	rs.Insert(Regime{Start: 1, End: 5, Hits: 0, Misses: 10})
+	rs.Insert(Regime{Start: 10, End: 20, Hits: 1, Misses: 9}) // equal: dropped
+	rs.Insert(Regime{Start: 20, End: 40, Hits: 2, Misses: 8}) // fills the gap between two regimes
+	rs.Insert(Regime{Start: 60, End: config.TimerMax + 1, Hits: 5, Misses: 5})
+	want := []Regime{
+		{Start: 1, End: 5, Hits: 0, Misses: 10},
+		{Start: 10, End: 20, Hits: 1, Misses: 9},
+		{Start: 20, End: 40, Hits: 2, Misses: 8},
+		{Start: 40, End: 50, Hits: 3, Misses: 7},
+		{Start: 60, End: config.TimerMax + 1, Hits: 5, Misses: 5},
+	}
+	if !reflect.DeepEqual(rs.regimes, want) {
+		t.Fatalf("regimes %+v, want %+v", rs.regimes, want)
+	}
 	for _, c := range []struct {
 		theta config.Timer
 		hits  int64
 		ok    bool
 	}{
-		{1, 0, true}, {4, 0, true}, {5, 0, false}, {9, 0, false}, {10, 1, true},
-		{19, 1, true}, {20, 0, false}, {45, 3, true}, {50, 0, false}, {config.TimerMax, 0, false},
+		{1, 0, true}, {4, 0, true}, {5, 0, false}, {9, 0, false}, {10, 1, true}, {19, 1, true},
+		{20, 2, true}, {39, 2, true}, {45, 3, true}, {50, 0, false}, {59, 0, false}, {config.TimerMax, 5, true},
 	} {
 		if h, _, ok := rs.Lookup(c.theta); ok != c.ok || h != c.hits {
 			t.Errorf("Lookup(%v) = (%d, %v), want (%d, %v)", c.theta, h, ok, c.hits, c.ok)
 		}
 	}
-	rs.Insert(Regime{Start: 15, End: 20, Hits: 1, Misses: 9}) // covered
-	rs.Insert(Regime{Start: 30, End: 50, Hits: 3, Misses: 7}) // same regime as [40, 50)
-	if len(rs.regimes) != 3 {
-		t.Fatalf("%d regimes after a covered and a merged insert, want 3", len(rs.regimes))
+
+	// Skewed: true regimes [1, 10), [10, 20), [20, 30), each replayed at the
+	// θ listed, in an order that makes widened ends overlap both ways.
+	TestHooks.RegimeEndSkew = 5
+	defer func() { TestHooks.RegimeEndSkew = 0 }()
+	var skewed RegimeSet
+	for _, c := range []struct {
+		r     Regime
+		theta config.Timer
+	}{
+		{Regime{Start: 20, End: 30, Hits: 3}, 21},
+		{Regime{Start: 1, End: 10, Hits: 1}, 1},
+		{Regime{Start: 10, End: 20, Hits: 2}, 18},
+		{Regime{Start: 10, End: 20, Hits: 2}, 12},
+	} {
+		skewed.Insert(c.r)
+		if _, _, ok := skewed.Lookup(c.theta); !ok {
+			t.Fatalf("skewed insert of %+v left its replayed θ=%v uncovered: %+v", c.r, c.theta, skewed.regimes)
+		}
 	}
-	if h, _, ok := rs.Lookup(30); !ok || h != 3 {
-		t.Fatalf("merged regime does not answer its new start: (%d, %v)", h, ok)
-	}
-	rs.Insert(Regime{Start: 60, End: config.TimerMax + 1, Hits: 5, Misses: 5})
-	if h, _, ok := rs.Lookup(config.TimerMax); !ok || h != 5 {
-		t.Fatalf("domain-end regime does not answer TimerMax: (%d, %v)", h, ok)
+	for i := 1; i < len(skewed.regimes); i++ {
+		if prev, r := skewed.regimes[i-1], skewed.regimes[i]; r.Start < prev.End || r.Start >= r.End {
+			t.Fatalf("skewed regimes overlap or are empty: %+v", skewed.regimes)
+		}
 	}
 }
 
@@ -134,6 +165,7 @@ func TestRegimeSetConcurrent(t *testing.T) {
 	geom := testGeoms[2]
 	s := testStream("fft", 42, t)
 	var rs RegimeSet
+	plan := NewPlan(s, geom) // compiled by whichever goroutine replays first
 	var wg sync.WaitGroup
 	errs := make([]string, 4)
 	for g := range errs {
@@ -141,7 +173,7 @@ func TestRegimeSetConcurrent(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for th := config.Timer(1 + g); th < 3000; th += 97 {
-				gotH, gotM := rs.IsolationHits(s, geom, lat, th)
+				gotH, gotM := rs.IsolationHits(plan, lat, th)
 				if wantH, wantM := IsolationHits(s, geom, lat, th); gotH != wantH || gotM != wantM {
 					errs[g] = "set diverged from scalar"
 					return
@@ -167,9 +199,10 @@ func TestHitCurveBreakpointSkewHook(t *testing.T) {
 	s := testStream("fft", 42, t)
 	TestHooks.RegimeEndSkew = 1
 	defer func() { TestHooks.RegimeEndSkew = 0 }()
+	plan := NewPlan(s, geom)
 	for th := config.Timer(1); th < config.TimerMax; {
 		var rs RegimeSet
-		r := Replay(s, geom, lat, th, lat.SlotWidth())
+		r := plan.Replay(lat, th, lat.SlotWidth())
 		if r.End > config.TimerMax {
 			break
 		}
@@ -185,7 +218,8 @@ func TestHitCurveBreakpointSkewHook(t *testing.T) {
 }
 
 // TestReplayPanics pins the input guards: the timed domain, a positive WCL
-// (same message as the scalar kernel) and a valid geometry.
+// (same message as the scalar kernel) and a valid geometry (checked by
+// NewPlan).
 func TestReplayPanics(t *testing.T) {
 	lat := config.Latencies{Hit: 1, Req: 4, Data: 50}
 	s := testStream("fft", 1, t)
@@ -209,7 +243,7 @@ func TestReplayPanics(t *testing.T) {
 					t.Errorf("%s: Replay did not panic", c.name)
 				}
 			}()
-			Replay(s, c.geom, lat, c.theta, c.wcl)
+			NewPlan(s, c.geom).Replay(lat, c.theta, c.wcl)
 		}()
 	}
 }
@@ -219,7 +253,7 @@ func TestReplayPanics(t *testing.T) {
 // leaves a set that answers every timed θ.
 func TestHitCurveEmptyStream(t *testing.T) {
 	lat := config.Latencies{Hit: 1, Req: 4, Data: 50}
-	r := Replay(trace.Stream{}, testGeoms[0], lat, 1, lat.SlotWidth())
+	r := NewPlan(trace.Stream{}, testGeoms[0]).Replay(lat, 1, lat.SlotWidth())
 	if r != (Regime{Start: 1, End: config.TimerMax + 1}) {
 		t.Fatalf("empty stream: %+v", r)
 	}
@@ -239,7 +273,7 @@ func TestHitCurveLookupAllocFree(t *testing.T) {
 	lat := config.Latencies{Hit: 1, Req: 4, Data: 50}
 	s := testStream("fft", 42, t)
 	var rs RegimeSet
-	rs.SaturationTimer(s, testGeoms[0], lat)
+	rs.SaturationTimer(NewPlan(s, testGeoms[0]), lat)
 	th := config.Timer(1)
 	allocs := testing.AllocsPerRun(200, func() {
 		rs.Lookup(th)
@@ -250,26 +284,89 @@ func TestHitCurveLookupAllocFree(t *testing.T) {
 	}
 }
 
-// BenchmarkIsolationHitsScalar and BenchmarkReplay compare one scalar walk
-// with one regime replay over the same stream and timers.
-func BenchmarkIsolationHitsScalar(b *testing.B) {
+// TestPlanMatchesScalar is the compiled plan against the scalar kernel on
+// eight-line caches of 1, 2, 4 and 8 ways (the last fully associative), so
+// capacity evictions are common and every LRU victim the compile pass picks
+// is exercised: each replay's split must equal GuaranteedHits at its θ and
+// at both ends of its regime.
+func TestPlanMatchesScalar(t *testing.T) {
 	lat := config.Latencies{Hit: 1, Req: 4, Data: 50}
-	s := testStream("fft", 21, b)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		for th := config.Timer(1); th < 600; th += 37 {
-			IsolationHits(s, testGeoms[0], lat, th)
+	for _, geom := range []config.CacheGeometry{
+		{SizeBytes: 512, LineBytes: 64, Ways: 1},
+		{SizeBytes: 512, LineBytes: 64, Ways: 2},
+		{SizeBytes: 512, LineBytes: 64, Ways: 4},
+		{SizeBytes: 512, LineBytes: 64, Ways: 8},
+	} {
+		for _, name := range []string{"fft", "radix"} {
+			s := testStream(name, 42, t)
+			plan := NewPlan(s, geom)
+			for _, th := range []config.Timer{1, 20, 300, 4000, config.TimerMax} {
+				for _, wcl := range []int64{1, lat.SlotWidth(), 977} {
+					r := plan.Replay(lat, th, wcl)
+					for _, at := range []config.Timer{r.Start, th, r.End - 1} {
+						if h, m := GuaranteedHits(s, geom, lat, at, wcl); r.Hits != h || r.Misses != m {
+							t.Fatalf("%d-way %s θ=%v wcl %d: plan regime [%v, %v) (%d,%d) != scalar (%d,%d) at θ′=%v",
+								geom.Ways, name, th, wcl, r.Start, r.End, r.Hits, r.Misses, h, m, at)
+						}
+					}
+				}
+			}
+			// Count the refetches of lines that were evicted: the table
+			// proves nothing about victim choice without them.
+			seen := make(map[uint64]bool)
+			evicted := 0
+			for i, st := range plan.steps {
+				line := s[i].Addr / uint64(geom.LineBytes)
+				if st.op&stepResident == 0 && seen[line] {
+					evicted++
+				}
+				seen[line] = true
+			}
+			if evicted == 0 {
+				t.Fatalf("%d-way %s: no capacity evictions", geom.Ways, name)
+			}
 		}
 	}
 }
 
+// sinkHits keeps the benchmarked calls' results live.
+var sinkHits int64
+
+// BenchmarkReplay reports ns per access of one replay through the compiled
+// plan and of one scalar GuaranteedHits walk, on core 0 of each paper-length
+// Fig. 5a profile (scale 1) on the paper's L1. The plan is compiled before
+// the timer starts, as the optimizer compiles it once per run.
+//
+//	go test -run '^$' -bench BenchmarkReplay ./internal/analysis
 func BenchmarkReplay(b *testing.B) {
-	lat := config.Latencies{Hit: 1, Req: 4, Data: 50}
-	s := testStream("fft", 21, b)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		for th := config.Timer(1); th < 600; th += 37 {
-			Replay(s, testGeoms[0], lat, th, lat.SlotWidth())
+	base := config.PaperDefaults(4, 1)
+	lat, geom := base.Lat, base.L1
+	thetas := []config.Timer{1, 20, 300, 4000}
+	for _, name := range []string{"fft", "lu", "radix", "barnes", "water", "cholesky", "raytrace"} {
+		p, err := trace.ProfileByName(name)
+		if err != nil {
+			b.Fatal(err)
 		}
+		s := p.Generate(4, 64, 42).Streams[0]
+		perAccess := func(b *testing.B) {
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(len(s)), "ns/access")
+		}
+		b.Run(name+"/plan", func(b *testing.B) {
+			plan := NewPlan(s, geom)
+			plan.Replay(lat, 1, lat.SlotWidth())
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				sinkHits = plan.Replay(lat, thetas[i%len(thetas)], lat.SlotWidth()).Hits
+			}
+			perAccess(b)
+		})
+		b.Run(name+"/scalar", func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				sinkHits, _ = GuaranteedHits(s, geom, lat, thetas[i%len(thetas)], lat.SlotWidth())
+			}
+			perAccess(b)
+		})
 	}
 }

@@ -7,6 +7,7 @@
 package cliutil
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -133,4 +134,49 @@ func (c *Common) StartProfiles(log *obs.Logger) (func(), error) {
 func Fatal(tool string, err error) {
 	fmt.Fprintln(os.Stderr, tool+":", err)
 	os.Exit(1)
+}
+
+// usageError is a flag value a tool rejects. Status maps it to exit 2, as
+// the flag package's own parse errors.
+type usageError struct{ error }
+
+// Usage marks err, which names the flag, as a rejected flag value.
+func Usage(err error) error { return usageError{err} }
+
+// Usagef returns a rejected-flag-value error with a formatted message that
+// names the flag.
+func Usagef(format string, a ...any) error { return usageError{fmt.Errorf(format, a...)} }
+
+// errFlagSyntax reports flags the flag package rejected; it has already
+// printed why, with the usage.
+var errFlagSyntax = errors.New("bad flags")
+
+// Parse parses args into fs, which must use flag.ContinueOnError. It
+// returns flag.ErrHelp for -h, and for any flag the package rejects an
+// error Status maps to exit 2 without printing it again.
+func Parse(fs *flag.FlagSet, args []string) error {
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return err
+		}
+		return errFlagSyntax
+	}
+	return nil
+}
+
+// Status returns the exit status of a run that ended with err, printing
+// err tool-prefixed to stderr unless Parse has already reported it: 0 for
+// success or -h, 2 for a bad flag, 1 for any other failure.
+func Status(tool string, err error, stderr io.Writer) int {
+	switch {
+	case err == nil || errors.Is(err, flag.ErrHelp):
+		return 0
+	case errors.Is(err, errFlagSyntax):
+		return 2
+	}
+	fmt.Fprintln(stderr, tool+":", err)
+	if errors.As(err, new(usageError)) {
+		return 2
+	}
+	return 1
 }

@@ -230,7 +230,8 @@ func TestBatchedOracleWorkersCross(t *testing.T) {
 				sets[i] = &analysis.RegimeSet{}
 			}
 		}
-		n := resolve(p, sets, vectors, w)
+		pl := newPlans(p)
+		n := resolve(p, sets, pl, vectors, w)
 		if want < 0 {
 			want = n
 		}
@@ -249,7 +250,7 @@ func TestBatchedOracleWorkersCross(t *testing.T) {
 				}
 			}
 		}
-		if again := resolve(p, sets, vectors, w); again != 0 {
+		if again := resolve(p, sets, pl, vectors, w); again != 0 {
 			t.Fatalf("workers %d: re-resolving a covered batch ran %d replays", w, again)
 		}
 	}

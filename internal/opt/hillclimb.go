@@ -73,7 +73,7 @@ func hillClimb(p *Problem, hc HCConfig) (*Result, *evaluator, error) {
 	}
 	oracle := newEvaluator(p, hc.Workers, hc.Progress)
 	hc.Progress.SetGenerations(int64(hc.Restarts))
-	res.ThetaIS = thetaIS(p, oracle.sets, hc.Workers)
+	res.ThetaIS = thetaIS(p, oracle.sets, oracle.plans, hc.Workers)
 
 	rng := trace.NewRNG(hc.Seed ^ 0x6863) // "hc"
 	clamp := func(g int, v config.Timer) config.Timer {

@@ -170,8 +170,8 @@ func (p *Problem) compile() *compiled {
 	return c
 }
 
-// evaluate evaluates one timer vector through private regime sets — one
-// replay per timed core, the cost of the scalar analysis — so one-off
+// evaluate evaluates one timer vector through private regime sets and
+// plans — one compile and one replay per timed core — so one-off
 // evaluations leave nothing in the shared cache.
 func (c *compiled) evaluate(timers []config.Timer) Evaluation {
 	timers = append([]config.Timer(nil), timers...)
@@ -179,7 +179,7 @@ func (c *compiled) evaluate(timers []config.Timer) Evaluation {
 	for i := range sets {
 		sets[i] = &analysis.RegimeSet{}
 	}
-	resolve(c.p, sets, [][]config.Timer{timers}, 1)
+	resolve(c.p, sets, newPlans(c.p), [][]config.Timer{timers}, 1)
 	return c.evaluateOwned(timers, sets)
 }
 
@@ -254,10 +254,10 @@ func fitness(ev *Evaluation) float64 {
 }
 
 // evaluator runs oracle evaluations for one optimization run: a compiled
-// problem, a worker count, the per-core regime sets of the exact oracle, and
-// a content-addressed memo-cache keyed by the timer vector, so a genome that
-// reappears (elites, converged populations, revisited neighbors) is never
-// recomputed.
+// problem, a worker count, the per-core regime sets and plans of the exact
+// oracle, and a content-addressed memo-cache keyed by the timer vector, so a
+// genome that reappears (elites, converged populations, revisited neighbors)
+// is never recomputed.
 type evaluator struct {
 	p       *Problem
 	c       *compiled
@@ -265,6 +265,9 @@ type evaluator struct {
 	// sets[i] is timed core i's regime set (nil for untimed cores), shared
 	// process-wide through curveMemo.
 	sets []*analysis.RegimeSet
+	// plans[i] replays timed core i's stream for this run only (nil for
+	// untimed cores).
+	plans []*analysis.Plan
 	// evalCache is the genome-level memo (keyed by the raw genome key of the
 	// gene vector). Every probe and store happens on the coordinator
 	// goroutine, so a plain map with explicit counters stands in for
@@ -291,6 +294,7 @@ func newEvaluator(p *Problem, workers int, progress *obs.RunHandle) *evaluator {
 		c:         p.compile(),
 		workers:   workers,
 		sets:      regimeSets(p),
+		plans:     newPlans(p),
 		evalCache: make(map[string]Evaluation, 256),
 		progress:  progress,
 	}
@@ -370,7 +374,7 @@ func (e *evaluator) batch(genomes [][]config.Timer) []Evaluation {
 	// Resolve every (core, θ) pair the fresh genomes need, then assemble the
 	// evaluations serially from the regime sets: pure integer/float
 	// arithmetic in a fixed per-core order, identical for every worker count.
-	replays := resolve(e.p, e.sets, jobs, e.workers)
+	replays := resolve(e.p, e.sets, e.plans, jobs, e.workers)
 	e.replays += replays
 	e.progress.AddLanes(int64(replays))
 	results := make([]Evaluation, len(jobs))
@@ -510,7 +514,7 @@ func optimize(p *Problem, gc GAConfig) (*Result, *evaluator, error) {
 
 	// Per-gene upper bounds: θ_is from the saturation sweep (§V), answered
 	// through the same regime sets the evaluations use.
-	res.ThetaIS = thetaIS(p, oracle.sets, gc.Workers)
+	res.ThetaIS = thetaIS(p, oracle.sets, oracle.plans, gc.Workers)
 
 	rng := trace.NewRNG(gc.Seed ^ 0x6f7074) // "opt"
 	randGene := func(g int) config.Timer {

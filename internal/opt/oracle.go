@@ -1,8 +1,9 @@
 // The optimizer's exact oracle: one analysis.RegimeSet per timed core
-// stream, shared process-wide through a content-addressed cache. Every
-// value a set serves is an analysis.IsolationHits result (regime constancy,
-// DESIGN.md §14), so this file changes only the oracle's cost, never its
-// answers.
+// stream, shared process-wide through a content-addressed cache, and one
+// analysis.Plan per timed core and run that replays the regimes the sets
+// miss. Every value a set serves is an analysis.IsolationHits result
+// (regime constancy, DESIGN.md §14), so this file changes only the oracle's
+// cost, never its answers.
 package opt
 
 import (
@@ -67,6 +68,21 @@ func regimeSets(p *Problem) []*analysis.RegimeSet {
 	return sets
 }
 
+// newPlans returns one uncompiled plan per timed core (nil for untimed cores).
+// A plan compiles on its first replay, so a core whose set answers every
+// query compiles nothing. Plans live only as long as their run: kept in
+// curveMemo beside the sets, every compiled stream would stay resident for
+// the whole process.
+func newPlans(p *Problem) []*analysis.Plan {
+	out := make([]*analysis.Plan, len(p.Streams))
+	for i, timed := range p.Timed {
+		if timed {
+			out[i] = analysis.NewPlan(p.Streams[i], p.L1)
+		}
+	}
+	return out
+}
+
 // query is one (core, θ) question to the oracle.
 type query struct {
 	core  int
@@ -75,10 +91,10 @@ type query struct {
 
 // resolve records in sets the regime of every timed (core, θ) pair the
 // vectors need. Uncovered pairs are collected against the sets as they
-// stand on entry, deduplicated, replayed through one parallel.Map, and
-// inserted serially in submission order — one code path for every worker
-// count. It returns the number of replays run.
-func resolve(p *Problem, sets []*analysis.RegimeSet, vectors [][]config.Timer, workers int) int {
+// stand on entry, deduplicated, replayed from the cores' plans through one
+// parallel.Map, and inserted serially in submission order — one code path
+// for every worker count. It returns the number of replays run.
+func resolve(p *Problem, sets []*analysis.RegimeSet, plans []*analysis.Plan, vectors [][]config.Timer, workers int) int {
 	var pending []query
 	seen := make(map[query]bool)
 	for _, timers := range vectors {
@@ -98,7 +114,7 @@ func resolve(p *Problem, sets []*analysis.RegimeSet, vectors [][]config.Timer, w
 	}
 	regimes := parallel.Map(workers, len(pending), func(k int) analysis.Regime {
 		q := pending[k]
-		return analysis.Replay(p.Streams[q.core], p.L1, p.Lat, q.theta, p.Lat.SlotWidth())
+		return plans[q.core].Replay(p.Lat, q.theta, p.Lat.SlotWidth())
 	})
 	for k, q := range pending {
 		sets[q.core].Insert(regimes[k])
@@ -109,7 +125,7 @@ func resolve(p *Problem, sets []*analysis.RegimeSet, vectors [][]config.Timer, w
 // thetaIS computes the per-gene saturation timers (§V): one sweep per timed
 // core through its regime set, fanned out across workers. Every regime a
 // sweep replays stays in the set for the evaluations that follow.
-func thetaIS(p *Problem, sets []*analysis.RegimeSet, workers int) []config.Timer {
+func thetaIS(p *Problem, sets []*analysis.RegimeSet, plans []*analysis.Plan, workers int) []config.Timer {
 	timed := make([]int, 0, len(p.Timed))
 	for i, t := range p.Timed {
 		if t {
@@ -118,7 +134,7 @@ func thetaIS(p *Problem, sets []*analysis.RegimeSet, workers int) []config.Timer
 	}
 	return parallel.Map(workers, len(timed), func(g int) config.Timer {
 		i := timed[g]
-		th, _ := sets[i].SaturationTimer(p.Streams[i], p.L1, p.Lat)
+		th, _ := sets[i].SaturationTimer(plans[i], p.Lat)
 		return th
 	})
 }
