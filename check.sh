@@ -22,11 +22,7 @@ go vet ./...
 echo "==> cohort-vet -baseline lint.baseline ./..."
 go run ./cmd/cohort-vet -baseline lint.baseline ./...
 
-echo "==> cohort-vet concurrency analyzers (report artifact)"
-go run ./cmd/cohort-vet -only lockorder,atomicmix,goleak,ctxflow,syncmisuse \
-  -baseline lint.baseline -json /tmp/concurrency-report.json ./...
-
-echo "==> seeded concurrency mutants (each analyzer must fail closed)"
+echo "==> seeded lockorder mutant (the analyzer must fail closed)"
 go test -run TestConcurrencyMutants ./internal/lint
 
 echo "==> go test -shuffle=on ./..."
@@ -34,15 +30,6 @@ go test -shuffle=on ./...
 
 echo "==> go test -race -shuffle=on ./internal/..."
 go test -race -shuffle=on ./internal/...
-
-echo "==> go test -race (parallel evaluation engine)"
-go test -race -shuffle=on ./internal/parallel ./internal/opt ./internal/experiments
-
-echo "==> cohort-bench fig5a -j 8 smoke"
-go run ./cmd/cohort-bench -run fig5a -j 8 -scale 0.01 -cap 800 -benches fft,water -pop 8 -gens 6 >/dev/null
-
-echo "==> curve/batch-vs-scalar fuzz seeds (committed corpus)"
-go test -run 'FuzzCurveVsScalar|FuzzBatchVsScalar' ./internal/analysis
 
 echo "==> curve-vs-scalar fuzzing, time-boxed (two-sided regime exactness beyond the corpus)"
 # A failing input lands in internal/analysis/testdata/fuzz; commit it.

@@ -8,18 +8,13 @@
 // requires every //cohort:allow annotation to use the canonical
 // '//cohort:allow <analyzer>: <reason>' form with a registered analyzer.
 //
-// Eight whole-program analyzers run over a conservative call graph of the
+// Four whole-program analyzers run over a conservative call graph of the
 // entire module rather than file by file. Three guard the hot path: hotalloc
 // (no allocation sites reachable from //cohort:hotpath roots), reachcontract
 // (the determinism contracts enforced transitively from hot-path and oracle
 // roots) and parallelpure (jobs handed to parallel.Map/MapErr may write only
-// their index-addressed result slot). Five guard the concurrency contracts:
-// lockorder (no cycles in the global mutex-acquisition order graph), atomicmix
-// (a variable touched through sync/atomic is never accessed plainly), goleak
-// (every go statement has a visible join or cancel path), ctxflow (blocking
-// operations reachable from a //cohort:server root accept a context.Context)
-// and syncmisuse (copied locks, WaitGroup.Add inside the goroutine, double
-// unlock, cross-goroutine channel close without //cohort:chanowner).
+// their index-addressed result slot). The fourth, lockorder, reports cycles
+// in the global mutex-acquisition order graph: potential deadlocks.
 //
 // Usage:
 //
@@ -30,7 +25,9 @@
 // (internal/{sim,core,bus,cache,coherence,memctrl,sched,trace,opt,invariant,
 // model,obs}); the whole-program analyzers see every matched package, so a
 // helper in a cold package that reaches the kernel is still caught. Exit
-// status is 1 when any unbaselined diagnostic is reported.
+// status is 0 when clean, 1 for unbaselined findings, stale baseline entries
+// or packages that fail to load, and 2 for a bad flag or patterns that match
+// no contract package.
 //
 // Flags:
 //
@@ -39,8 +36,6 @@
 //	                 until pruned (the ratchet only shrinks)
 //	-write-baseline  regenerate the -baseline file from the current findings
 //	-json file       write the findings as a JSON report ("-" for stdout)
-//	-only names      run only the named analyzers (comma-separated); CI uses
-//	                 this to emit a concurrency-only report artifact
 //	-graph           dump the conservative call graph and exit
 //	-list            list the analyzers and exit
 package main
@@ -49,35 +44,12 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
-	"sort"
-	"strings"
 
+	"cohort/internal/cliutil"
 	"cohort/internal/lint"
 )
-
-// contractPackages is the set of import paths bound by the determinism
-// contract for the per-package analyzers. Reporting/CLI packages (stats,
-// experiments, vcd, cmd/*) may legitimately read the clock or format floats;
-// simulator state may not. The whole-program analyzers are not limited by
-// this set: reachability decides.
-var contractPackages = map[string]bool{
-	"cohort/internal/sim":       true,
-	"cohort/internal/core":      true,
-	"cohort/internal/bus":       true,
-	"cohort/internal/cache":     true,
-	"cohort/internal/coherence": true,
-	"cohort/internal/memctrl":   true,
-	"cohort/internal/sched":     true,
-	"cohort/internal/trace":     true,
-	"cohort/internal/opt":       true,
-	"cohort/internal/invariant": true, // runs inside the simulator hot path
-	"cohort/internal/model":     true, // exhaustive exploration must be reproducible
-	// The observability layer feeds deterministic snapshots and traces; its
-	// sole sanctioned wall-clock read (obs.WallClock.Now, manifests only)
-	// carries a //cohort:allow annotation.
-	"cohort/internal/obs": true,
-}
 
 // report is the schema of the -json output.
 type report struct {
@@ -95,183 +67,127 @@ type baselineInfo struct {
 }
 
 func main() {
-	list := flag.Bool("list", false, "list the analyzers and exit")
-	baselinePath := flag.String("baseline", "", "baseline `file` of accepted findings (ratcheted: new findings fail)")
-	writeBaseline := flag.Bool("write-baseline", false, "regenerate the -baseline file from current findings")
-	jsonOut := flag.String("json", "", "write findings as a JSON report to `file` (\"-\" for stdout)")
-	only := flag.String("only", "", "run only these `analyzers` (comma-separated names)")
-	graph := flag.Bool("graph", false, "dump the conservative whole-program call graph and exit")
-	flag.Usage = func() {
-		fmt.Fprintf(flag.CommandLine.Output(), "usage: cohort-vet [flags] [packages]\n\n")
-		fmt.Fprintf(flag.CommandLine.Output(), "Runs the determinism lint suite over the simulator packages.\n")
-		flag.PrintDefaults()
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// run lints the packages args name, writing findings to stdout and
+// diagnostics to stderr, and returns the exit status: 0 when clean, 2 for a
+// bad flag or patterns that match no contract package, 1 for findings, stale
+// baseline entries or any other failure.
+func run(args []string, stdout, stderr io.Writer) int {
+	return cliutil.Status("cohort-vet", vet(args, stdout, stderr), stderr)
+}
+
+func vet(args []string, stdout, stderr io.Writer) error {
+	fs := flag.NewFlagSet("cohort-vet", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	var (
+		list          = fs.Bool("list", false, "list the analyzers and exit")
+		baselinePath  = fs.String("baseline", "", "baseline `file` of accepted findings (ratcheted: new findings fail)")
+		writeBaseline = fs.Bool("write-baseline", false, "regenerate the -baseline file from current findings")
+		jsonOut       = fs.String("json", "", "write findings as a JSON report to `file` (\"-\" for stdout)")
+		graph         = fs.Bool("graph", false, "dump the conservative whole-program call graph and exit")
+	)
+	fs.Usage = func() {
+		fmt.Fprintf(fs.Output(), "usage: cohort-vet [flags] [packages]\n\n")
+		fmt.Fprintf(fs.Output(), "Runs the determinism lint suite over the simulator packages.\n")
+		fs.PrintDefaults()
 	}
-	flag.Parse()
+	if err := cliutil.Parse(fs, args); err != nil {
+		return err
+	}
 
 	analyzers := lint.Analyzers()
-	if *only != "" {
-		wanted := make(map[string]bool)
-		for _, name := range strings.Split(*only, ",") {
-			wanted[strings.TrimSpace(name)] = true
-		}
-		var selected []*lint.Analyzer
-		for _, a := range analyzers {
-			if wanted[a.Name] {
-				selected = append(selected, a)
-				delete(wanted, a.Name)
-			}
-		}
-		if len(wanted) > 0 {
-			var unknown []string
-			for name := range wanted {
-				unknown = append(unknown, name)
-			}
-			sort.Strings(unknown)
-			fmt.Fprintf(os.Stderr, "cohort-vet: -only names unknown analyzer(s) %v (see -list)\n", unknown)
-			os.Exit(2)
-		}
-		analyzers = selected
-	}
 	if *list {
 		for _, a := range analyzers {
 			kind := "package"
 			if a.RunProgram != nil {
 				kind = "program"
 			}
-			fmt.Printf("%-16s [%s] %s\n", a.Name, kind, a.Doc)
+			fmt.Fprintf(stdout, "%-16s [%s] %s\n", a.Name, kind, a.Doc)
 		}
-		return
+		return nil
 	}
 	if *writeBaseline && *baselinePath == "" {
-		fmt.Fprintln(os.Stderr, "cohort-vet: -write-baseline requires -baseline <file>")
-		os.Exit(2)
+		return cliutil.Usagef("-write-baseline requires -baseline <file>")
 	}
 
-	patterns := flag.Args()
+	patterns := fs.Args()
 	if len(patterns) == 0 {
 		patterns = []string{"./..."}
 	}
 	prog, err := lint.LoadProgram(patterns...)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
+		return err
 	}
 	cg, err := lint.BuildGraph(prog)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
+		return err
 	}
 	if *graph {
-		cg.Dump(os.Stdout)
-		return
+		cg.Dump(stdout)
+		return nil
 	}
 
 	cwd, _ := os.Getwd()
-	var findings []lint.Finding
-	collect := func(a *lint.Analyzer, diags []lint.Diagnostic) {
-		for _, d := range diags {
-			pos := prog.Fset.Position(d.Pos)
-			findings = append(findings, lint.RelFinding(a.Name, pos.Filename, pos.Line, pos.Column, d.Message, cwd))
-		}
+	findings, checked, err := lint.Check(prog, cg, cwd)
+	if err != nil {
+		return err
+	}
+	if len(checked) == 0 {
+		return cliutil.Usagef("no contract packages matched %v", patterns)
 	}
 
-	checked := 0
-	for _, pkg := range prog.Pkgs {
-		if !contractPackages[pkg.Path] {
-			continue
-		}
-		checked++
-		for _, a := range analyzers {
-			if a.Run == nil {
-				continue
-			}
-			diags, err := lint.Run(a, pkg)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				os.Exit(2)
-			}
-			collect(a, diags)
-		}
-	}
-	if checked == 0 {
-		fmt.Fprintf(os.Stderr, "cohort-vet: no contract packages matched %v\n", patterns)
-		os.Exit(2)
-	}
-	for _, a := range analyzers {
-		if a.RunProgram == nil {
-			continue
-		}
-		diags, err := lint.RunOnProgram(a, prog, cg)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(2)
-		}
-		collect(a, diags)
-	}
-
-	rep := report{Packages: len(prog.Pkgs)}
+	rep := report{Packages: len(prog.Pkgs), Findings: findings}
 	for _, a := range analyzers {
 		rep.Analyzers = append(rep.Analyzers, a.Name)
 	}
-	rep.Findings = findings
 
 	if *writeBaseline {
 		if err := os.WriteFile(*baselinePath, lint.FormatBaseline(findings), 0o644); err != nil {
-			fmt.Fprintln(os.Stderr, "cohort-vet:", err)
-			os.Exit(2)
+			return err
 		}
-		fmt.Printf("cohort-vet: wrote %s (%d finding(s))\n", *baselinePath, len(findings))
-		return
+		fmt.Fprintf(stdout, "cohort-vet: wrote %s (%d finding(s))\n", *baselinePath, len(findings))
+		return nil
 	}
 
-	failed := 0
+	fresh, stale := findings, []string(nil)
 	if *baselinePath != "" {
 		data, err := os.ReadFile(*baselinePath)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "cohort-vet:", err)
-			os.Exit(2)
+			return err
 		}
 		accepted, err := lint.ParseBaseline(data)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(2)
+			return err
 		}
-		fresh, stale := lint.DiffBaseline(findings, accepted)
+		fresh, stale = lint.DiffBaseline(findings, accepted)
 		rep.Baseline = &baselineInfo{File: *baselinePath, Accepted: len(accepted), Fresh: len(fresh), Stale: stale}
-		for _, f := range fresh {
-			failed++
-			fmt.Printf("%s\n", f)
-		}
-		for _, k := range stale {
-			failed++
-			fmt.Printf("stale baseline entry (finding no longer fires — prune with -write-baseline): %q\n", k)
-		}
-	} else {
-		for _, f := range findings {
-			failed++
-			fmt.Printf("%s\n", f)
-		}
+	}
+	for _, f := range fresh {
+		fmt.Fprintln(stdout, f)
+	}
+	for _, k := range stale {
+		fmt.Fprintf(stdout, "stale baseline entry (finding no longer fires — prune with -write-baseline): %q\n", k)
 	}
 
 	if *jsonOut != "" {
 		data, err := json.MarshalIndent(rep, "", "  ")
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "cohort-vet:", err)
-			os.Exit(2)
+			return err
 		}
 		data = append(data, '\n')
 		if *jsonOut == "-" {
-			os.Stdout.Write(data)
+			stdout.Write(data)
 		} else if err := os.WriteFile(*jsonOut, data, 0o644); err != nil {
-			fmt.Fprintln(os.Stderr, "cohort-vet:", err)
-			os.Exit(2)
+			return err
 		}
 	}
 
-	if failed > 0 {
-		fmt.Fprintf(os.Stderr, "cohort-vet: %d violation(s) across %d package(s)\n", failed, len(prog.Pkgs))
-		os.Exit(1)
+	if failed := len(fresh) + len(stale); failed > 0 {
+		return fmt.Errorf("%d violation(s) across %d package(s)", failed, len(prog.Pkgs))
 	}
-	fmt.Printf("cohort-vet: ok (%d packages, %d contract packages, %d analyzers)\n",
-		len(prog.Pkgs), checked, len(analyzers))
+	fmt.Fprintf(stdout, "cohort-vet: ok (%d packages, %d contract packages, %d analyzers)\n",
+		len(prog.Pkgs), len(checked), len(analyzers))
+	return nil
 }

@@ -63,12 +63,6 @@ var TestHooks struct {
 	// bit without invalidating its cached Shared copy, so the bitmask and
 	// the caches disagree and the stale copy survives a remote store.
 	StaleSharerBitmask bool
-	// BatchLaneTimerSkew shifts every batched lane's mode-switch schedule by
-	// this many cycles. Only RunBatch reads it — scalar New/Run paths are
-	// untouched — so the differential batch suite can prove the batched ≡
-	// scalar comparison fails closed: with a nonzero skew the suite must
-	// report a mismatch.
-	BatchLaneTimerSkew int64
 }
 
 // verifyInvariants sweeps the protocol invariants after a completed bus

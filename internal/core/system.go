@@ -124,14 +124,6 @@ type scheduledSwitch struct {
 // New builds a system from a validated configuration and a workload trace
 // with one stream per core.
 func New(cfg *config.System, tr *trace.Trace) (*System, error) {
-	return newOn(sim.New(), cfg, tr)
-}
-
-// newOn builds a system on an existing engine. The engine must be fresh or
-// freshly Reset — newOn installs the system as the typed-event handler and
-// assumes cycle 0. RunBatch uses this to reuse one engine's queue backing
-// across a fleet of configurations.
-func newOn(eng *sim.Engine, cfg *config.System, tr *trace.Trace) (*System, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
@@ -160,7 +152,7 @@ func newOn(eng *sim.Engine, cfg *config.System, tr *trace.Trace) (*System, error
 
 	s := &System{
 		cfg:         cfg,
-		eng:         eng,
+		eng:         sim.New(),
 		arb:         arb,
 		llc:         memctrl.New(cfg.LLC, cfg.PerfectLLC, cfg.Lat.DRAM),
 		dir:         coherence.NewDirectory(),

@@ -51,12 +51,7 @@ type CGNode struct {
 	Pkg  *Package
 	Name string
 	Hot  HotKind
-	// Server marks a //cohort:server root: a request-scoped entry point of
-	// the long-running daemon surface. The ctxflow analyzer requires every
-	// blocking operation reachable from a server root to sit in a function
-	// that accepts a context.Context.
-	Server bool
-	Pos    token.Pos
+	Pos  token.Pos
 
 	// Calls lists callee nodes in first-encounter order, deduplicated.
 	Calls []*CGNode
@@ -131,18 +126,13 @@ func BuildGraph(prog *Program) (*Graph, error) {
 				if err != nil {
 					return nil, err
 				}
-				server, err := serverAnnotation(prog.Fset, fd.Doc)
-				if err != nil {
-					return nil, err
-				}
 				n := &CGNode{
-					Obj:    obj,
-					Body:   fd.Body,
-					Pkg:    pkg,
-					Name:   funcDisplayName(obj),
-					Hot:    hot,
-					Server: server,
-					Pos:    fd.Name.Pos(),
+					Obj:  obj,
+					Body: fd.Body,
+					Pkg:  pkg,
+					Name: funcDisplayName(obj),
+					Hot:  hot,
+					Pos:  fd.Name.Pos(),
 				}
 				g.byObj[obj] = n
 				g.Nodes = append(g.Nodes, n)
@@ -334,70 +324,6 @@ func hotAnnotation(fset *token.FileSet, doc *ast.CommentGroup) (HotKind, error) 
 		}
 	}
 	return HotNone, nil
-}
-
-// serverAnnotation parses a //cohort:server annotation out of a doc comment.
-// The annotation takes no qualifier; trailing text is an error for the same
-// reason an unknown hotpath qualifier is — a typo must not silently shrink
-// (or grow) the checked surface.
-func serverAnnotation(fset *token.FileSet, doc *ast.CommentGroup) (bool, error) {
-	if doc == nil {
-		return false, nil
-	}
-	for _, c := range doc.List {
-		text := strings.TrimSpace(strings.TrimPrefix(c.Text, "//"))
-		if !strings.HasPrefix(text, "cohort:server") {
-			continue
-		}
-		rest := strings.TrimSpace(strings.TrimPrefix(text, "cohort:server"))
-		if rest != "" {
-			return false, fmt.Errorf("lint: %s: //cohort:server takes no qualifier, got %q",
-				fset.Position(c.Pos()), rest)
-		}
-		return true, nil
-	}
-	return false, nil
-}
-
-// ServerRoots returns the nodes annotated //cohort:server, in graph order.
-func (g *Graph) ServerRoots() []*CGNode {
-	var roots []*CGNode
-	for _, n := range g.Nodes {
-		if n.Server {
-			roots = append(roots, n)
-		}
-	}
-	return roots
-}
-
-// ReachableFrom computes the set of nodes reachable from the given roots via
-// plain BFS — unlike Reachable it does not honour HotExempt cuts, because it
-// serves contracts (ctxflow) orthogonal to the hot-path budget. The parent
-// map reconstructs one shortest call path per node; roots map to nil.
-func (g *Graph) ReachableFrom(roots []*CGNode) (map[*CGNode]bool, map[*CGNode]*CGNode) {
-	seen := make(map[*CGNode]bool)
-	parent := make(map[*CGNode]*CGNode)
-	var queue []*CGNode
-	for _, n := range roots {
-		if !seen[n] {
-			seen[n] = true
-			parent[n] = nil
-			queue = append(queue, n)
-		}
-	}
-	for len(queue) > 0 {
-		n := queue[0]
-		queue = queue[1:]
-		for _, c := range n.Calls {
-			if seen[c] {
-				continue
-			}
-			seen[c] = true
-			parent[c] = n
-			queue = append(queue, c)
-		}
-	}
-	return seen, parent
 }
 
 // Reachable computes the set of nodes reachable from roots annotated with one

@@ -9,10 +9,9 @@ import (
 	"strings"
 )
 
-// Shared machinery of the concurrency-contract analyzers (lockorder,
-// atomicmix, goleak, ctxflow, syncmisuse): lock-class identity, blocking-op
-// classification, and the per-node event streams the interprocedural
-// analyses consume.
+// The machinery under the lockorder analyzer: lock-class identity, the
+// mutex-method classification, and the per-node lock/call event streams its
+// interprocedural summaries consume.
 //
 // Lock identity is class-based, like the kernel's lockdep: every instance of
 // core.System.mu is one lock class, identified by the *types.Var of the
@@ -233,88 +232,6 @@ func resolveStaticCallee(g *Graph, info *types.Info, call *ast.CallExpr) *CGNode
 		}
 	}
 	return nil
-}
-
-// rootObject walks a selector/index/star chain to its base identifier's
-// object: the `ch` of `s.ch`, `chans[i]`, `*p.ch`. Returns nil when the base
-// is not a plain variable (a call result, a literal).
-func rootObject(info *types.Info, e ast.Expr) types.Object {
-	for {
-		switch x := ast.Unparen(e).(type) {
-		case *ast.Ident:
-			if obj := info.Uses[x]; obj != nil {
-				return obj
-			}
-			return info.Defs[x]
-		case *ast.SelectorExpr:
-			// Prefer the selected field's identity: distinct fields are
-			// distinct channels/counters even on one struct value.
-			if sel, ok := info.Selections[x]; ok {
-				if v, ok := sel.Obj().(*types.Var); ok && v.IsField() {
-					return v
-				}
-			} else if v, ok := info.Uses[x.Sel].(*types.Var); ok {
-				return v // qualified identifier: pkg.Var
-			}
-			e = x.X
-		case *ast.IndexExpr:
-			e = x.X
-		case *ast.StarExpr:
-			e = x.X
-		default:
-			return nil
-		}
-	}
-}
-
-// isContextType matches context.Context.
-func isContextType(t types.Type) bool {
-	named, ok := t.(*types.Named)
-	if !ok {
-		return false
-	}
-	obj := named.Obj()
-	return obj.Pkg() != nil && obj.Pkg().Path() == "context" && obj.Name() == "Context"
-}
-
-// hasContextParam reports whether the node's own signature accepts a
-// context.Context (the receiver does not count: cancellation must flow per
-// call, not per object).
-func hasContextParam(info *types.Info, n *CGNode) bool {
-	sig := nodeSignature(info, n)
-	if sig == nil {
-		return false
-	}
-	params := sig.Params()
-	for i := 0; i < params.Len(); i++ {
-		if isContextType(params.At(i).Type()) {
-			return true
-		}
-	}
-	return false
-}
-
-// hasCloseMethod reports whether t (after deref) declares a Close, Shutdown
-// or Stop method — the lifecycle-owner shape that makes a background
-// goroutine joinable (obs.DebugServer, net/http.Server).
-func hasCloseMethod(t types.Type) bool {
-	if t == nil {
-		return false
-	}
-	if p, ok := t.(*types.Pointer); ok {
-		t = p.Elem()
-	}
-	named, ok := t.(*types.Named)
-	if !ok {
-		return false
-	}
-	for _, m := range []string{"Close", "Shutdown", "Stop"} {
-		obj, _, _ := types.LookupFieldOrMethod(types.NewPointer(named), true, named.Obj().Pkg(), m)
-		if _, ok := obj.(*types.Func); ok {
-			return true
-		}
-	}
-	return false
 }
 
 // sortedLockObjects renders map keys in deterministic display order so

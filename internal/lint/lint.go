@@ -4,8 +4,10 @@
 // iteration in a hot path, a wall-clock read, or an unseeded random source
 // would silently produce runs that differ between executions while every test
 // still passes. The analyzers in this package enforce that contract
-// mechanically over the simulator packages (internal/{sim,core,bus,cache,
-// coherence,memctrl,sched,trace,opt}).
+// mechanically: seven per-package analyzers over the contract packages
+// (internal/{sim,core,bus,cache,coherence,memctrl,sched,trace,opt,invariant,
+// model,obs}) and four whole-program analyzers over a conservative call graph
+// of everything loaded. Check runs the whole suite.
 //
 // The framework mirrors the shape of golang.org/x/tools/go/analysis
 // (Analyzer, Pass, Diagnostic) but is built on the standard library only, so
@@ -46,8 +48,7 @@ type Pass struct {
 	Pkg       *types.Package
 	TypesInfo *types.Info
 
-	diags []Diagnostic
-	allow map[allowKey]bool
+	reporter
 }
 
 // Analyzer is one determinism check. Exactly one of Run (per-package,
@@ -64,12 +65,12 @@ type Analyzer struct {
 	RunProgram func(pass *ProgramPass) error
 }
 
-// Reportf records a diagnostic unless an allow-annotation suppresses it.
-func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
-	if p.allowedAt(pos) {
-		return
-	}
-	p.diags = append(p.diags, Diagnostic{Pos: pos, Message: fmt.Sprintf(format, args...)})
+// reporter collects one analyzer's diagnostics for a Pass or a ProgramPass,
+// dropping those a //cohort:allow annotation naming the analyzer covers.
+type reporter struct {
+	fset  *token.FileSet
+	allow map[allowKey]bool
+	diags []Diagnostic
 }
 
 type allowKey struct {
@@ -77,38 +78,61 @@ type allowKey struct {
 	line int
 }
 
-// buildAllowIndex scans the package comments for //cohort:allow annotations
-// naming this pass's analyzer and records the source lines they cover (the
-// annotation line itself and the line after it).
-func (p *Pass) buildAllowIndex() {
-	p.allow = make(map[allowKey]bool)
-	for _, f := range p.Files {
-		for _, cg := range f.Comments {
-			for _, c := range cg.List {
-				text := strings.TrimPrefix(c.Text, "//")
-				text = strings.TrimSpace(text)
-				if !strings.HasPrefix(text, "cohort:allow") {
-					continue
+// newReporter scans the comments of pkgs for //cohort:allow annotations
+// naming a and records the source lines they cover: the annotation line
+// itself and the line after it.
+func newReporter(a *Analyzer, fset *token.FileSet, pkgs ...*Package) reporter {
+	r := reporter{fset: fset, allow: make(map[allowKey]bool)}
+	for _, pkg := range pkgs {
+		for _, f := range pkg.Files {
+			for _, cg := range f.Comments {
+				for _, c := range cg.List {
+					text := strings.TrimSpace(strings.TrimPrefix(c.Text, "//"))
+					if !strings.HasPrefix(text, "cohort:allow") {
+						continue
+					}
+					fields := strings.Fields(strings.TrimPrefix(text, "cohort:allow"))
+					// The canonical form is "cohort:allow <analyzer>: <reason>"
+					// (enforced by the allowdoc analyzer); the bare-name legacy
+					// form still matches so a migration cannot un-suppress.
+					if len(fields) == 0 || strings.TrimSuffix(fields[0], ":") != a.Name {
+						continue
+					}
+					pos := fset.Position(c.Pos())
+					r.allow[allowKey{pos.Filename, pos.Line}] = true
+					r.allow[allowKey{pos.Filename, pos.Line + 1}] = true
 				}
-				fields := strings.Fields(strings.TrimPrefix(text, "cohort:allow"))
-				// The canonical form is "cohort:allow <analyzer>: <reason>"
-				// (enforced by the allowdoc analyzer); the bare-name legacy
-				// form still matches so a migration cannot un-suppress.
-				if len(fields) == 0 || strings.TrimSuffix(fields[0], ":") != p.Analyzer.Name {
-					continue
-				}
-				pos := p.Fset.Position(c.Pos())
-				p.allow[allowKey{pos.Filename, pos.Line}] = true
-				p.allow[allowKey{pos.Filename, pos.Line + 1}] = true
 			}
 		}
 	}
+	return r
 }
 
-// allowedAt reports whether an annotation suppresses diagnostics at pos.
-func (p *Pass) allowedAt(pos token.Pos) bool {
-	pp := p.Fset.Position(pos)
-	return p.allow[allowKey{pp.Filename, pp.Line}]
+// Reportf records a diagnostic unless an allow-annotation suppresses it.
+func (r *reporter) Reportf(pos token.Pos, format string, args ...any) {
+	p := r.fset.Position(pos)
+	if r.allow[allowKey{p.Filename, p.Line}] {
+		return
+	}
+	r.diags = append(r.diags, Diagnostic{Pos: pos, Message: fmt.Sprintf(format, args...)})
+}
+
+// sorted returns the diagnostics ordered by file, line, column and message.
+func (r *reporter) sorted() []Diagnostic {
+	sort.Slice(r.diags, func(i, j int) bool {
+		pi, pj := r.fset.Position(r.diags[i].Pos), r.fset.Position(r.diags[j].Pos)
+		if pi.Filename != pj.Filename {
+			return pi.Filename < pj.Filename
+		}
+		if pi.Line != pj.Line {
+			return pi.Line < pj.Line
+		}
+		if pi.Column != pj.Column {
+			return pi.Column < pj.Column
+		}
+		return r.diags[i].Message < r.diags[j].Message
+	})
+	return r.diags
 }
 
 // Analyzers returns the full determinism suite in a stable order: the
@@ -127,22 +151,73 @@ func Analyzers() []*Analyzer {
 		ReachContractAnalyzer,
 		ParallelPureAnalyzer,
 		LockOrderAnalyzer,
-		AtomicMixAnalyzer,
-		GoLeakAnalyzer,
-		CtxFlowAnalyzer,
-		SyncMisuseAnalyzer,
 	}
 }
 
-// ProgramAnalyzers returns the whole-program subset of the suite.
-func ProgramAnalyzers() []*Analyzer {
-	var out []*Analyzer
-	for _, a := range Analyzers() {
-		if a.RunProgram != nil {
-			out = append(out, a)
+// contractPackages are the packages the per-package analyzers check: the
+// simulator and the code that runs inside or replays its event loop.
+// Reporting and CLI packages (stats, experiments, vcd, cmd/*) may read the
+// clock or format floats; simulator state may not. The whole-program
+// analyzers are not limited to this set: reachability decides.
+var contractPackages = map[string]bool{
+	"cohort/internal/sim":       true,
+	"cohort/internal/core":      true,
+	"cohort/internal/bus":       true,
+	"cohort/internal/cache":     true,
+	"cohort/internal/coherence": true,
+	"cohort/internal/memctrl":   true,
+	"cohort/internal/sched":     true,
+	"cohort/internal/trace":     true,
+	"cohort/internal/opt":       true,
+	"cohort/internal/invariant": true, // runs inside the simulator hot path
+	"cohort/internal/model":     true, // exhaustive exploration must be reproducible
+	// The observability layer feeds deterministic snapshots and traces; its
+	// sole sanctioned wall-clock read (obs.WallClock.Now, manifests only)
+	// carries a //cohort:allow annotation.
+	"cohort/internal/obs": true,
+}
+
+// Check runs the whole suite over a loaded program: the per-package
+// analyzers on every contract package prog matched, then the whole-program
+// analyzers on all of prog over its call graph g. It returns the findings in
+// that order, with file paths relative to root where possible, and the
+// import paths of the contract packages it checked.
+func Check(prog *Program, g *Graph, root string) ([]Finding, []string, error) {
+	var findings []Finding
+	collect := func(a *Analyzer, diags []Diagnostic) {
+		for _, d := range diags {
+			pos := prog.Fset.Position(d.Pos)
+			findings = append(findings, RelFinding(a.Name, pos.Filename, pos.Line, pos.Column, d.Message, root))
 		}
 	}
-	return out
+	var checked []string
+	for _, pkg := range prog.Pkgs {
+		if !contractPackages[pkg.Path] {
+			continue
+		}
+		checked = append(checked, pkg.Path)
+		for _, a := range Analyzers() {
+			if a.Run == nil {
+				continue
+			}
+			diags, err := Run(a, pkg)
+			if err != nil {
+				return nil, nil, err
+			}
+			collect(a, diags)
+		}
+	}
+	for _, a := range Analyzers() {
+		if a.RunProgram == nil {
+			continue
+		}
+		diags, err := RunOnProgram(a, prog, g)
+		if err != nil {
+			return nil, nil, err
+		}
+		collect(a, diags)
+	}
+	return findings, checked, nil
 }
 
 // Run executes one analyzer over a loaded package and returns its
@@ -157,13 +232,12 @@ func Run(a *Analyzer, pkg *Package) ([]Diagnostic, error) {
 		Files:     pkg.Files,
 		Pkg:       pkg.Types,
 		TypesInfo: pkg.Info,
+		reporter:  newReporter(a, pkg.Fset, pkg),
 	}
-	pass.buildAllowIndex()
 	if err := a.Run(pass); err != nil {
 		return nil, fmt.Errorf("lint: %s on %s: %w", a.Name, pkg.Path, err)
 	}
-	sort.Slice(pass.diags, func(i, j int) bool { return pass.diags[i].Pos < pass.diags[j].Pos })
-	return pass.diags, nil
+	return pass.sorted(), nil
 }
 
 // inspectWithStack walks the AST keeping the ancestor stack, calling fn with

@@ -3,31 +3,46 @@ package lint
 import (
 	"go/ast"
 	"go/token"
-	"os"
 	"path/filepath"
 	"regexp"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
 )
 
-// golden runs one analyzer over a testdata package and compares its
-// diagnostics against the `// want "regexp"` expectations in the sources —
-// a stdlib re-implementation of the analysistest contract: every want line
-// must produce a matching diagnostic, and every diagnostic must land on a
-// want line.
+// golden runs one analyzer over the testdata tree testdata/src/<name>
+// (loaded via LoadTree, so cross-package type identity holds) and compares
+// its diagnostics against the `// want "regexp"` expectations in the
+// sources — a stdlib re-implementation of the analysistest contract: every
+// want line must produce a matching diagnostic, and every diagnostic must
+// land on a want line. A per-package analyzer runs on each package of the
+// tree.
 func golden(t *testing.T, a *Analyzer, name string) {
 	t.Helper()
-	dir := filepath.Join("testdata", "src", name)
-	pkg, err := LoadDir(dir, "cohort/lint-testdata/"+name)
+	root := filepath.Join("testdata", "src", name)
+	prog, err := LoadTree(root, "cohort/lint-testdata/"+name)
 	if err != nil {
-		t.Fatalf("load %s: %v", dir, err)
+		t.Fatalf("load tree %s: %v", root, err)
 	}
-	diags, err := Run(a, pkg)
-	if err != nil {
-		t.Fatalf("run %s: %v", a.Name, err)
+	var files []*ast.File
+	var diags []Diagnostic
+	for _, pkg := range prog.Pkgs {
+		files = append(files, pkg.Files...)
+		if a.Run != nil {
+			d, err := Run(a, pkg)
+			if err != nil {
+				t.Fatalf("run %s: %v", a.Name, err)
+			}
+			diags = append(diags, d...)
+		}
 	}
-	checkWants(t, pkg.Fset, pkg.Files, diags)
+	if a.RunProgram != nil {
+		if diags, err = RunOnProgram(a, prog, nil); err != nil {
+			t.Fatalf("run %s: %v", a.Name, err)
+		}
+	}
+	checkWants(t, prog.Fset, files, diags)
 }
 
 // checkWants compares diagnostics against the `// want "regexp"` expectations
@@ -89,10 +104,11 @@ func TestFloatAccumGolden(t *testing.T)     { golden(t, FloatAccumAnalyzer, "flo
 func TestExhaustiveGolden(t *testing.T)     { golden(t, ExhaustiveAnalyzer, "exhaustive") }
 func TestAllowDocGolden(t *testing.T)       { golden(t, AllowDocAnalyzer, "allowdoc") }
 
-// TestAnalyzerMetadata pins the suite roster: names are unique, documented,
-// and stable (annotations reference them).
+// TestAnalyzerMetadata pins the suite roster: exactly these analyzers, in
+// this order, each documented and of one kind. The names are stable because
+// annotations reference them.
 func TestAnalyzerMetadata(t *testing.T) {
-	seen := map[string]bool{}
+	var names []string
 	for _, a := range Analyzers() {
 		if a.Name == "" || a.Doc == "" {
 			t.Errorf("analyzer %+v incomplete", a)
@@ -100,37 +116,20 @@ func TestAnalyzerMetadata(t *testing.T) {
 		if (a.Run == nil) == (a.RunProgram == nil) {
 			t.Errorf("analyzer %q must set exactly one of Run (per-package) and RunProgram (whole-program)", a.Name)
 		}
-		if seen[a.Name] {
-			t.Errorf("duplicate analyzer name %q", a.Name)
-		}
-		seen[a.Name] = true
+		names = append(names, a.Name)
 	}
-	for _, want := range []string{"maprange", "walltime", "globalrand", "eventgoroutine", "floataccum", "exhaustive", "allowdoc", "hotalloc", "reachcontract", "parallelpure", "lockorder", "atomicmix", "goleak", "ctxflow", "syncmisuse"} {
-		if !seen[want] {
-			t.Errorf("suite is missing analyzer %q", want)
-		}
+	want := []string{"maprange", "walltime", "globalrand", "eventgoroutine", "floataccum", "exhaustive", "allowdoc", "hotalloc", "reachcontract", "parallelpure", "lockorder"}
+	if !slices.Equal(names, want) {
+		t.Errorf("suite = %v, want %v", names, want)
 	}
 }
 
 // TestRepositoryLintsClean is the in-process equivalent of
-// `go run ./cmd/cohort-vet ./...`: the simulator packages themselves must
-// satisfy the determinism contract.
+// `go run ./cmd/cohort-vet ./...`: the repository satisfies every analyzer,
+// and the per-package analyzers cover every contract package.
 func TestRepositoryLintsClean(t *testing.T) {
 	if testing.Short() {
 		t.Skip("type-checks the whole module; skipped in -short mode")
-	}
-	contract := map[string]bool{
-		"cohort/internal/sim":       true,
-		"cohort/internal/core":      true,
-		"cohort/internal/bus":       true,
-		"cohort/internal/cache":     true,
-		"cohort/internal/coherence": true,
-		"cohort/internal/memctrl":   true,
-		"cohort/internal/sched":     true,
-		"cohort/internal/trace":     true,
-		"cohort/internal/opt":       true,
-		"cohort/internal/invariant": true,
-		"cohort/internal/model":     true,
 	}
 	prog, err := LoadProgram("cohort/...")
 	if err != nil {
@@ -140,44 +139,36 @@ func TestRepositoryLintsClean(t *testing.T) {
 	if err != nil {
 		t.Fatalf("build graph: %v", err)
 	}
-	checked := 0
-	for _, pkg := range prog.Pkgs {
-		if !contract[pkg.Path] {
-			continue
-		}
-		checked++
-		for _, a := range Analyzers() {
-			if a.Run == nil {
-				continue
-			}
-			diags, err := Run(a, pkg)
-			if err != nil {
-				t.Fatalf("%s on %s: %v", a.Name, pkg.Path, err)
-			}
-			for _, d := range diags {
-				t.Errorf("%s: %s [%s]", pkg.Fset.Position(d.Pos), d.Message, a.Name)
-			}
-		}
+	findings, checked, err := Check(prog, g, "")
+	if err != nil {
+		t.Fatal(err)
 	}
-	if checked != len(contract) {
-		t.Errorf("checked %d contract packages, want %d", checked, len(contract))
+	for _, f := range findings {
+		t.Error(f)
 	}
-	for _, a := range ProgramAnalyzers() {
-		diags, err := RunOnProgram(a, prog, g)
-		if err != nil {
-			t.Fatalf("%s: %v", a.Name, err)
-		}
-		for _, d := range diags {
-			t.Errorf("%s: %s [%s]", prog.Fset.Position(d.Pos), d.Message, a.Name)
-		}
+	want := []string{
+		"cohort/internal/bus",
+		"cohort/internal/cache",
+		"cohort/internal/coherence",
+		"cohort/internal/core",
+		"cohort/internal/invariant",
+		"cohort/internal/memctrl",
+		"cohort/internal/model",
+		"cohort/internal/obs",
+		"cohort/internal/opt",
+		"cohort/internal/sched",
+		"cohort/internal/sim",
+		"cohort/internal/trace",
+	}
+	if !slices.Equal(checked, want) {
+		t.Errorf("checked contract packages %v, want %v", checked, want)
 	}
 }
 
 // TestAllowAnnotationScope checks the annotation only suppresses the named
 // analyzer, not the whole suite.
 func TestAllowAnnotationScope(t *testing.T) {
-	dir := t.TempDir()
-	src := strings.Join([]string{
+	pkg := loadSource(t, "scope", strings.Join([]string{
 		"package scope",
 		"import \"time\"",
 		"func f(m map[int]int) time.Time {",
@@ -187,14 +178,7 @@ func TestAllowAnnotationScope(t *testing.T) {
 		"\treturn time.Now()",
 		"}",
 		"",
-	}, "\n")
-	if err := writeFile(filepath.Join(dir, "scope.go"), src); err != nil {
-		t.Fatal(err)
-	}
-	pkg, err := LoadDir(dir, "cohort/lint-testdata/scope")
-	if err != nil {
-		t.Fatal(err)
-	}
+	}, "\n"))
 	if diags, _ := Run(MapRangeAnalyzer, pkg); len(diags) != 0 {
 		t.Errorf("maprange not suppressed by annotation: %v", diags)
 	}
@@ -211,20 +195,12 @@ func TestAllowAnnotationScope(t *testing.T) {
 // the golden (a `// want` marker appended to the annotation would itself
 // become the reason text).
 func TestAllowDocEmptyReason(t *testing.T) {
-	dir := t.TempDir()
-	src := strings.Join([]string{
+	pkg := loadSource(t, "reason", strings.Join([]string{
 		"package reason",
 		"//cohort:allow walltime:",
 		"func f() {}",
 		"",
-	}, "\n")
-	if err := writeFile(filepath.Join(dir, "reason.go"), src); err != nil {
-		t.Fatal(err)
-	}
-	pkg, err := LoadDir(dir, "cohort/lint-testdata/reason")
-	if err != nil {
-		t.Fatal(err)
-	}
+	}, "\n"))
 	diags, err := Run(AllowDocAnalyzer, pkg)
 	if err != nil {
 		t.Fatal(err)
@@ -234,6 +210,14 @@ func TestAllowDocEmptyReason(t *testing.T) {
 	}
 }
 
-func writeFile(path, content string) error {
-	return os.WriteFile(path, []byte(content), 0o644)
+// loadSource type-checks src as the one file of a package named name.
+func loadSource(t *testing.T, name, src string) *Package {
+	t.Helper()
+	dir := t.TempDir()
+	writeTree(t, dir, map[string]string{name + ".go": src})
+	prog, err := LoadTree(dir, "cohort/lint-testdata/"+name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return prog.Pkgs[0]
 }

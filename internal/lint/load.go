@@ -1,17 +1,12 @@
 package lint
 
 import (
-	"bytes"
-	"encoding/json"
 	"fmt"
 	"go/ast"
-	"go/importer"
 	"go/parser"
 	"go/token"
 	"go/types"
-	"os/exec"
 	"path/filepath"
-	"sort"
 )
 
 // Package is one loaded, parsed and type-checked package ready for analysis.
@@ -34,81 +29,6 @@ type listedPackage struct {
 	GoFiles    []string
 	Standard   bool // part of the standard library
 	DepOnly    bool // reached only as a dependency of the listed patterns
-}
-
-// Load expands the given `go list` patterns and returns the matched packages
-// parsed and type-checked. Type checking resolves imports from source through
-// the standard library importer, so it works offline inside the module.
-func Load(patterns ...string) ([]*Package, error) {
-	if len(patterns) == 0 {
-		patterns = []string{"./..."}
-	}
-	args := append([]string{"list", "-json"}, patterns...)
-	cmd := exec.Command("go", args...)
-	var out, errb bytes.Buffer
-	cmd.Stdout = &out
-	cmd.Stderr = &errb
-	if err := cmd.Run(); err != nil {
-		return nil, fmt.Errorf("lint: go list %v: %v\n%s", patterns, err, errb.String())
-	}
-	var listed []listedPackage
-	dec := json.NewDecoder(&out)
-	for dec.More() {
-		var lp listedPackage
-		if err := dec.Decode(&lp); err != nil {
-			return nil, fmt.Errorf("lint: decode go list output: %v", err)
-		}
-		listed = append(listed, lp)
-	}
-	sort.Slice(listed, func(i, j int) bool { return listed[i].ImportPath < listed[j].ImportPath })
-
-	fset := token.NewFileSet()
-	imp := importer.ForCompiler(fset, "source", nil)
-	var pkgs []*Package
-	for _, lp := range listed {
-		if len(lp.GoFiles) == 0 {
-			continue
-		}
-		files := make([]string, len(lp.GoFiles))
-		for i, f := range lp.GoFiles {
-			files[i] = filepath.Join(lp.Dir, f)
-		}
-		pkg, err := check(fset, imp, lp.ImportPath, files)
-		if err != nil {
-			return nil, err
-		}
-		pkg.Dir = lp.Dir
-		pkgs = append(pkgs, pkg)
-	}
-	return pkgs, nil
-}
-
-// LoadDir parses and type-checks every non-test .go file in one directory as
-// a package with the given import path. Used by the analyzer golden tests to
-// load testdata packages that `go list` does not see.
-func LoadDir(dir, path string) (*Package, error) {
-	matches, err := filepath.Glob(filepath.Join(dir, "*.go"))
-	if err != nil {
-		return nil, err
-	}
-	var files []string
-	for _, m := range matches {
-		if !isTestFile(m) {
-			files = append(files, m)
-		}
-	}
-	if len(files) == 0 {
-		return nil, fmt.Errorf("lint: no Go files in %s", dir)
-	}
-	sort.Strings(files)
-	fset := token.NewFileSet()
-	imp := importer.ForCompiler(fset, "source", nil)
-	pkg, err := check(fset, imp, path, files)
-	if err != nil {
-		return nil, err
-	}
-	pkg.Dir = dir
-	return pkg, nil
 }
 
 func isTestFile(name string) bool {

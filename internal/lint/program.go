@@ -19,9 +19,9 @@ import (
 // package's Uses map is pointer-identical to the one in the defining
 // package's Defs map. That identity is what lets the call graph
 // (callgraph.go) follow an edge from a call site in internal/experiments into
-// a method declared in internal/core. The per-package Load path
-// (load.go) cannot provide it: its source importer re-checks imported
-// packages privately, so cross-package objects never match.
+// a method declared in internal/core. The standard library's source importer
+// cannot provide it for module packages: it re-checks each import privately,
+// so cross-package objects never match.
 type Program struct {
 	Fset *token.FileSet
 	// Pkgs are the packages matched by the load patterns, sorted by import
@@ -126,9 +126,8 @@ func LoadProgram(patterns ...string) (*Program, error) {
 }
 
 // treeImporter resolves import paths under a base path to subdirectories of a
-// root directory — the loader behind LoadTree, which the program-analyzer
-// golden tests use to assemble multi-package testdata programs that `go list`
-// does not see.
+// root directory — the loader behind LoadTree, which the golden tests use to
+// assemble testdata programs that `go list` does not see.
 type treeImporter struct {
 	fset     *token.FileSet
 	root     string
@@ -231,44 +230,7 @@ type ProgramPass struct {
 	Prog     *Program
 	Graph    *Graph
 
-	diags []Diagnostic
-	allow map[allowKey]bool
-}
-
-// Reportf records a diagnostic unless an allow-annotation suppresses it.
-func (p *ProgramPass) Reportf(pos token.Pos, format string, args ...any) {
-	if p.allow[posKey(p.Prog.Fset, pos)] {
-		return
-	}
-	p.diags = append(p.diags, Diagnostic{Pos: pos, Message: fmt.Sprintf(format, args...)})
-}
-
-func posKey(fset *token.FileSet, pos token.Pos) allowKey {
-	pp := fset.Position(pos)
-	return allowKey{pp.Filename, pp.Line}
-}
-
-func (p *ProgramPass) buildAllowIndex() {
-	p.allow = make(map[allowKey]bool)
-	for _, pkg := range p.Prog.Pkgs {
-		for _, f := range pkg.Files {
-			for _, cg := range f.Comments {
-				for _, c := range cg.List {
-					text := strings.TrimSpace(strings.TrimPrefix(c.Text, "//"))
-					if !strings.HasPrefix(text, "cohort:allow") {
-						continue
-					}
-					fields := strings.Fields(strings.TrimPrefix(text, "cohort:allow"))
-					if len(fields) == 0 || strings.TrimSuffix(fields[0], ":") != p.Analyzer.Name {
-						continue
-					}
-					pos := p.Prog.Fset.Position(c.Pos())
-					p.allow[allowKey{pos.Filename, pos.Line}] = true
-					p.allow[allowKey{pos.Filename, pos.Line + 1}] = true
-				}
-			}
-		}
-	}
+	reporter
 }
 
 // RunOnProgram executes one whole-program analyzer over a loaded Program and
@@ -286,24 +248,9 @@ func RunOnProgram(a *Analyzer, prog *Program, g *Graph) ([]Diagnostic, error) {
 			return nil, err
 		}
 	}
-	pass := &ProgramPass{Analyzer: a, Prog: prog, Graph: g}
-	pass.buildAllowIndex()
+	pass := &ProgramPass{Analyzer: a, Prog: prog, Graph: g, reporter: newReporter(a, prog.Fset, prog.Pkgs...)}
 	if err := a.RunProgram(pass); err != nil {
 		return nil, fmt.Errorf("lint: %s: %w", a.Name, err)
 	}
-	fset := prog.Fset
-	sort.Slice(pass.diags, func(i, j int) bool {
-		pi, pj := fset.Position(pass.diags[i].Pos), fset.Position(pass.diags[j].Pos)
-		if pi.Filename != pj.Filename {
-			return pi.Filename < pj.Filename
-		}
-		if pi.Line != pj.Line {
-			return pi.Line < pj.Line
-		}
-		if pi.Column != pj.Column {
-			return pi.Column < pj.Column
-		}
-		return pass.diags[i].Message < pass.diags[j].Message
-	})
-	return pass.diags, nil
+	return pass.sorted(), nil
 }

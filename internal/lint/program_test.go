@@ -1,38 +1,15 @@
 package lint
 
 import (
-	"go/ast"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 )
 
-// goldenProgram runs one whole-program analyzer over a multi-package
-// testdata tree (loaded via LoadTree so cross-package type identity holds)
-// and compares its diagnostics against the `// want` expectations collected
-// from every file in the tree.
-func goldenProgram(t *testing.T, a *Analyzer, name string) {
-	t.Helper()
-	root := filepath.Join("testdata", "src", name)
-	prog, err := LoadTree(root, "cohort/lint-testdata/"+name)
-	if err != nil {
-		t.Fatalf("load tree %s: %v", root, err)
-	}
-	diags, err := RunOnProgram(a, prog, nil)
-	if err != nil {
-		t.Fatalf("run %s: %v", a.Name, err)
-	}
-	var all []*ast.File
-	for _, pkg := range prog.Pkgs {
-		all = append(all, pkg.Files...)
-	}
-	checkWants(t, prog.Fset, all, diags)
-}
-
-func TestHotAllocGolden(t *testing.T)      { goldenProgram(t, HotAllocAnalyzer, "hotalloc") }
-func TestReachContractGolden(t *testing.T) { goldenProgram(t, ReachContractAnalyzer, "reachcontract") }
-func TestParallelPureGolden(t *testing.T)  { goldenProgram(t, ParallelPureAnalyzer, "parallelpure") }
+func TestHotAllocGolden(t *testing.T)      { golden(t, HotAllocAnalyzer, "hotalloc") }
+func TestReachContractGolden(t *testing.T) { golden(t, ReachContractAnalyzer, "reachcontract") }
+func TestParallelPureGolden(t *testing.T)  { golden(t, ParallelPureAnalyzer, "parallelpure") }
 
 // writeTree materializes a map of relative path → source into dir.
 func writeTree(t *testing.T, dir string, files map[string]string) {

@@ -91,18 +91,13 @@ func (s *DebugServer) Close() error {
 }
 
 // handleHealthz is the liveness probe: constant body, no shared state.
-//
-//cohort:server
 func (s *DebugServer) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 	io.WriteString(w, "ok\n")
 }
 
 // handleMetrics serves the Prometheus exposition. Everything it reaches
-// holds locks for microseconds (registry snapshot, tracker atomics); the
-// ctxflow analyzer verifies nothing on this path can block unboundedly.
-//
-//cohort:server
+// holds locks for microseconds (registry snapshot, tracker atomics).
 func (s *DebugServer) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	w.Header().Set("Content-Type", PromContentType)
 	if err := WritePromRuns(w, s.tracker.Sample()); err != nil {
@@ -112,8 +107,6 @@ func (s *DebugServer) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 }
 
 // handleRuns serves the tracker's JSON sample.
-//
-//cohort:server
 func (s *DebugServer) handleRuns(w http.ResponseWriter, _ *http.Request) {
 	w.Header().Set("Content-Type", "application/json")
 	s.tracker.WriteJSON(w)

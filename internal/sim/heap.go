@@ -39,14 +39,6 @@ func (h *heap4[T]) grow(n int) {
 	h.s = ns
 }
 
-// reset empties the heap while keeping its backing capacity, zeroing the
-// abandoned elements so payload references (closures) do not outlive the
-// reset for the GC.
-func (h *heap4[T]) reset() {
-	clear(h.s)
-	h.s = h.s[:0]
-}
-
 // before reports strict (at, seq) order between two keys.
 func before(aAt Cycle, aSeq uint64, bAt Cycle, bSeq uint64) bool {
 	if aAt != bAt {

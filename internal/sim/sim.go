@@ -76,28 +76,12 @@ func (e *Engine) Scheduled() uint64 { return e.seq }
 
 // Reserve preallocates queue backing for at least n additional events, so a
 // caller that knows its steady-state queue depth avoids growth reallocations
-// mid-run.
-func (e *Engine) Reserve(n int) {
-	if n > 0 {
-		e.queue.grow(n)
-	}
-}
+// mid-run. A non-positive n does nothing.
+func (e *Engine) Reserve(n int) { e.queue.grow(n) }
 
 // SetHandler installs the typed-event dispatcher. Must be set before the
 // first ScheduleKind/ScheduleKindAt call.
 func (e *Engine) SetHandler(h Handler) { e.handler = h }
-
-// Reset returns the engine to its initial state — cycle 0, sequence 0, no
-// budget, no handler, empty queue — while keeping the queue's backing
-// capacity. A batch driver evaluating many configurations on one lane
-// resets the engine between runs, so the queue grows once to the fleet's
-// high-water depth instead of once per configuration. A reset engine is
-// observationally identical to a fresh New(): the differential batch suite
-// asserts reuse never leaks state across runs.
-func (e *Engine) Reset() {
-	e.now, e.seq, e.budget, e.handler = 0, 0, 0, nil
-	e.queue.reset()
-}
 
 // SetBudget limits Run to at most limit cycles of simulated time
 // (0 removes the limit). Run returns ErrBudgetExceeded if the limit is hit

@@ -111,15 +111,31 @@ func TestScheduleAtPast(t *testing.T) {
 	if err := e.ScheduleAt(10, func(Cycle) {}); err != nil {
 		t.Fatalf("ScheduleAt(now) err = %v, want nil", err)
 	}
+	e.SetHandler(nopHandler{})
+	if err := e.ScheduleKindAt(5, 0, 0, 0, 0); !errors.Is(err, ErrPastEvent) {
+		t.Fatalf("ScheduleKindAt(past) err = %v, want ErrPastEvent", err)
+	}
 }
 
 func TestNegativeDelayPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("Schedule(-1) did not panic")
-		}
-	}()
-	New().Schedule(-1, func(Cycle) {})
+	for _, tc := range []struct {
+		name     string
+		schedule func(e *Engine)
+	}{
+		{"Schedule", func(e *Engine) { e.Schedule(-1, func(Cycle) {}) }},
+		{"ScheduleKind", func(e *Engine) { e.ScheduleKind(-1, 0, 0, 0, 0) }},
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s(-1) did not panic", tc.name)
+				}
+			}()
+			e := New()
+			e.SetHandler(nopHandler{})
+			tc.schedule(e)
+		}()
+	}
 }
 
 func TestNilEventPanics(t *testing.T) {
@@ -129,6 +145,40 @@ func TestNilEventPanics(t *testing.T) {
 		}
 	}()
 	New().Schedule(1, nil)
+}
+
+// A typed event is dispatched through the Handler, so queueing one on an
+// engine without a Handler panics at once, not when it would fire.
+func TestTypedEventWithoutHandlerPanics(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Fatal("ScheduleKind with no Handler did not panic")
+		}
+	}()
+	New().ScheduleKind(1, 0, 0, 0, 0)
+}
+
+// Reserve(n) makes the next n pushes growth-free; a non-positive n leaves
+// the queue's capacity alone.
+func TestReserve(t *testing.T) {
+	e := New()
+	e.Reserve(64)
+	reserved := cap(e.queue.s)
+	if reserved < 64 {
+		t.Fatalf("Reserve(64): capacity %d", reserved)
+	}
+	for i := 0; i < 64; i++ {
+		e.Schedule(Cycle(i), func(Cycle) {})
+	}
+	if got := cap(e.queue.s); got != reserved {
+		t.Fatalf("64 pushes after Reserve(64) grew the queue: capacity %d -> %d", reserved, got)
+	}
+	for _, n := range []int{0, -1} {
+		e.Reserve(n)
+		if got := cap(e.queue.s); got != reserved {
+			t.Fatalf("Reserve(%d) changed capacity %d -> %d", n, reserved, got)
+		}
+	}
 }
 
 func TestRunUntil(t *testing.T) {
