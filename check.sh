@@ -68,6 +68,25 @@ echo "==> perf smoke (bit-identical fingerprints vs pre-overhaul goldens)"
 go run ./cmd/cohort-report -dir "$obsdir" -fingerprints > "$obsdir/fingerprints.txt"
 diff cmd/cohort-report/testdata/perf-smoke.fingerprints "$obsdir/fingerprints.txt"
 
+echo "==> committed bench pairs (bench/run.sh -compare on every BENCH_prNN.parent.json,BENCH_prNN.json)"
+# The root pairs are the one performance record: each file needs its
+# partner, and every pair must compare without a regression.
+for f in BENCH_*.json; do
+  case "$f" in
+    *.parent.json) base="$f"; new="${f%.parent.json}.json" ;;
+    *) base="${f%.json}.parent.json"; new="$f" ;;
+  esac
+  if [ ! -f "$base" ] || [ ! -f "$new" ]; then
+    echo "    FAIL: $f has no partner"
+    exit 1
+  fi
+  if [ "$f" = "$new" ] && ! bash bench/run.sh -compare "$base,$new" > "$obsdir/compare.txt" 2>&1; then
+    cat "$obsdir/compare.txt"
+    echo "    FAIL: bench/run.sh -compare $base,$new"
+    exit 1
+  fi
+done
+
 echo "==> file-backed trace decode smoke (text and binary files print identical reports)"
 # A radix trace under -check: the *os.File decode of both formats, release
 # rounds across three mode switches, and the invariant checker. -check

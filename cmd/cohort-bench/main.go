@@ -16,6 +16,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"slices"
 	"strings"
 
 	"cohort"
@@ -35,17 +36,16 @@ var known = []string{
 }
 
 func main() {
-	if err := run(os.Args[1:], os.Stdout, obs.WallClock{}); err != nil {
-		cliutil.Fatal("cohort-bench", err)
-	}
+	os.Exit(cliutil.Status("cohort-bench", run(os.Args[1:], os.Stdout, os.Stderr, obs.WallClock{}), os.Stderr))
 }
 
-// run executes the selected experiments and writes their tables to stdout.
-// Factored out of main so the golden-file tests drive the exact CLI path;
-// clk is the injected wall clock (tests pass obs.ManualClock so manifests
-// are byte-reproducible).
-func run(args []string, stdout io.Writer, clk obs.Clock) error {
+// run executes the selected experiments, writing their tables to stdout and
+// diagnostics to stderr. Factored out of main so the golden-file tests drive
+// the exact CLI path; clk is the injected wall clock (tests pass
+// obs.ManualClock so manifests are byte-reproducible).
+func run(args []string, stdout, stderr io.Writer, clk obs.Clock) error {
 	fs := flag.NewFlagSet("cohort-bench", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	cu := cliutil.New("cohort-bench")
 	cu.RegisterWork(fs)
 	cu.RegisterObs(fs)
@@ -62,30 +62,21 @@ func run(args []string, stdout io.Writer, clk obs.Clock) error {
 		md        = fs.Bool("md", false, "emit markdown tables")
 		memoStats = fs.Bool("memo-stats", false, "report memo-cache and oracle-replay counters on stderr (counters are scheduling-dependent, never part of the tables)")
 	)
-	if err := fs.Parse(args); err != nil {
+	if err := cliutil.Parse(fs, args); err != nil {
 		return err
 	}
-	log, err := cu.Logger(os.Stderr, clk)
-	if err != nil {
-		return err
-	}
-	stopProfiles, err := cu.StartProfiles(log)
-	if err != nil {
-		return err
-	}
-	defer stopProfiles()
-
 	o := experiments.DefaultOptions()
-	o.Scale = *scale
-	o.MaxAccessesPerCore = *cap
-	o.Seed = *seed
-	o.GA.Pop, o.GA.Generations = *pop, *gens
-	o.Jobs = cu.Jobs
-	o.GA.Workers = cu.Jobs
-	if *benches != "" {
-		o.Benchmarks = strings.Split(*benches, ",")
+	// Reject values no experiment can use before any work.
+	switch {
+	case !(*scale > 0):
+		return cliutil.Usagef("-scale must be positive, got %v", *scale)
+	case *cap < 0:
+		return cliutil.Usagef("-cap must be non-negative (0 = none), got %d", *cap)
+	case *pop <= o.GA.Elite:
+		return cliutil.Usagef("-pop must exceed the GA's %d elite individuals, got %d", o.GA.Elite, *pop)
+	case *gens < 1:
+		return cliutil.Usagef("-gens must be at least 1, got %d", *gens)
 	}
-
 	sel := map[string]bool{}
 	if *runList == "all" {
 		for _, k := range known {
@@ -94,15 +85,8 @@ func run(args []string, stdout io.Writer, clk obs.Clock) error {
 	} else {
 		for _, k := range strings.Split(*runList, ",") {
 			k = strings.TrimSpace(k)
-			found := false
-			for _, kk := range known {
-				if kk == k {
-					found = true
-					break
-				}
-			}
-			if !found {
-				return fmt.Errorf("unknown experiment %q (known: %s)", k, strings.Join(known, ", "))
+			if !slices.Contains(known, k) {
+				return cliutil.Usagef("-run: unknown experiment %q (known: %s)", k, strings.Join(known, ", "))
 			}
 			sel[k] = true
 		}
@@ -114,6 +98,26 @@ func run(args []string, stdout io.Writer, clk obs.Clock) error {
 		if sel[k] {
 			selected = append(selected, k)
 		}
+	}
+
+	log, err := cu.Logger(stderr, clk)
+	if err != nil {
+		return cliutil.Usagef("-log-level: %v", err)
+	}
+	stopProfiles, err := cu.StartProfiles(log)
+	if err != nil {
+		return err
+	}
+	defer stopProfiles()
+
+	o.Scale = *scale
+	o.MaxAccessesPerCore = *cap
+	o.Seed = *seed
+	o.GA.Pop, o.GA.Generations = *pop, *gens
+	o.Jobs = cu.Jobs
+	o.GA.Workers = cu.Jobs
+	if *benches != "" {
+		o.Benchmarks = strings.Split(*benches, ",")
 	}
 
 	var (
@@ -382,8 +386,6 @@ func benchConfigKey(selected []string, bench string, o *experiments.Options) str
 	for _, b := range o.Benchmarks {
 		k.Str(b)
 	}
-	g := o.GA
-	k.Int(g.Pop).Int(g.Generations).Int(g.Elite).Int(g.TournamentK)
-	k.Float64(g.CrossoverProb).Float64(g.MutationProb).Uint64(g.Seed)
+	o.GA.AppendKey(k)
 	return hex.EncodeToString([]byte(k.Sum()))
 }

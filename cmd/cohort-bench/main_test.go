@@ -3,12 +3,14 @@ package main
 import (
 	"bytes"
 	"flag"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 	"time"
 
+	"cohort/internal/cliutil"
 	"cohort/internal/experiments"
 	"cohort/internal/obs"
 )
@@ -46,12 +48,12 @@ func TestGolden(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			experiments.ResetMemo()
 			var serial bytes.Buffer
-			if err := run(append(tc.args, "-j", "1"), &serial, testClock); err != nil {
+			if err := run(append(tc.args, "-j", "1"), &serial, io.Discard, testClock); err != nil {
 				t.Fatalf("run -j 1: %v", err)
 			}
 			experiments.ResetMemo()
 			var par bytes.Buffer
-			if err := run(append(tc.args, "-j", "8"), &par, testClock); err != nil {
+			if err := run(append(tc.args, "-j", "8"), &par, io.Discard, testClock); err != nil {
 				t.Fatalf("run -j 8: %v", err)
 			}
 			if !bytes.Equal(serial.Bytes(), par.Bytes()) {
@@ -82,8 +84,49 @@ func TestGolden(t *testing.T) {
 // TestRunRejectsUnknownExperiment covers the CLI's selector validation.
 func TestRunRejectsUnknownExperiment(t *testing.T) {
 	var out bytes.Buffer
-	if err := run([]string{"-run", "fig9z"}, &out, testClock); err == nil {
+	if err := run([]string{"-run", "fig9z"}, &out, io.Discard, testClock); err == nil {
 		t.Fatal("expected an error for an unknown experiment name")
+	}
+}
+
+// TestRunValidatesFlags drives main's exit path with flag values no
+// experiment can use: each exits 2 before any work, names the flag on
+// stderr and writes nothing to stdout. -cap 0 means no cap and runs.
+func TestRunValidatesFlags(t *testing.T) {
+	tests := []struct {
+		name    string
+		args    []string
+		want    int
+		wantErr string
+	}{
+		{"zero scale", []string{"-scale", "0"}, 2, "-scale"},
+		{"negative scale", []string{"-scale", "-1"}, 2, "-scale"},
+		{"NaN scale", []string{"-scale", "NaN"}, 2, "-scale"},
+		{"negative cap", []string{"-cap", "-5"}, 2, "-cap"},
+		{"population of one", []string{"-pop", "1"}, 2, "-pop"},
+		{"population within the elite", []string{"-pop", "2"}, 2, "-pop"},
+		{"zero generations", []string{"-gens", "0"}, 2, "-gens"},
+		{"unknown experiment in a list", []string{"-run", "fig5a,fig9z"}, 2, "-run"},
+		{"bad log level", []string{"-log-level", "loud"}, 2, "-log-level"},
+		{"undefined flag", []string{"-nosuchflag"}, 2, "-nosuchflag"},
+		{"no cap", []string{"-cap", "0"}, 0, ""},
+	}
+	for _, tt := range tests {
+		t.Run(tt.name, func(t *testing.T) {
+			var stdout, stderr bytes.Buffer
+			// table1 needs no simulation, so a flag that slips through
+			// finishes at once with exit 0 instead of running the suite.
+			err := run(append([]string{"-run", "table1"}, tt.args...), &stdout, &stderr, testClock)
+			if got := cliutil.Status("cohort-bench", err, &stderr); got != tt.want {
+				t.Fatalf("exit %d, want %d; stderr:\n%s", got, tt.want, stderr.String())
+			}
+			if !strings.Contains(stderr.String(), tt.wantErr) {
+				t.Errorf("stderr does not name %q:\n%s", tt.wantErr, stderr.String())
+			}
+			if (stdout.Len() == 0) != (tt.want != 0) {
+				t.Errorf("exit %d with %d bytes of stdout:\n%s", tt.want, stdout.Len(), stdout.String())
+			}
+		})
 	}
 }
 
@@ -97,7 +140,7 @@ func TestManifestAndTraceWritten(t *testing.T) {
 		t.Helper()
 		experiments.ResetMemo()
 		var out bytes.Buffer
-		if err := run(quickArgs("-run", "fig5a", "-j", jobs, "-out-dir", dir), &out, testClock); err != nil {
+		if err := run(quickArgs("-run", "fig5a", "-j", jobs, "-out-dir", dir), &out, io.Discard, testClock); err != nil {
 			t.Fatalf("run -j %s: %v", jobs, err)
 		}
 		ms, err := obs.LoadDir(dir)
@@ -155,7 +198,7 @@ func TestPprofFlagsWriteProfiles(t *testing.T) {
 	mem := filepath.Join(dir, "mem.pprof")
 	experiments.ResetMemo()
 	var out bytes.Buffer
-	if err := run(quickArgs("-run", "table1", "-cpuprofile", cpu, "-memprofile", mem), &out, testClock); err != nil {
+	if err := run(quickArgs("-run", "table1", "-cpuprofile", cpu, "-memprofile", mem), &out, io.Discard, testClock); err != nil {
 		t.Fatal(err)
 	}
 	for _, p := range []string{cpu, mem} {
@@ -176,7 +219,7 @@ func TestAttributionExperiment(t *testing.T) {
 	dir := t.TempDir()
 	experiments.ResetMemo()
 	var out bytes.Buffer
-	if err := run(quickArgs("-run", "attribution", "-benches", "fft", "-out-dir", dir), &out, testClock); err != nil {
+	if err := run(quickArgs("-run", "attribution", "-benches", "fft", "-out-dir", dir), &out, io.Discard, testClock); err != nil {
 		t.Fatal(err)
 	}
 	got := out.String()
@@ -213,7 +256,7 @@ func TestListenServesDuringRun(t *testing.T) {
 	// itself and CI scrapes a live cohort-bench run. Here we only pin that
 	// -listen on a bad address fails fast instead of being ignored.
 	var out bytes.Buffer
-	if err := run(quickArgs("-run", "table1", "-listen", "256.0.0.1:0"), &out, testClock); err == nil {
+	if err := run(quickArgs("-run", "table1", "-listen", "256.0.0.1:0"), &out, io.Discard, testClock); err == nil {
 		t.Fatal("bad -listen address accepted")
 	}
 }

@@ -149,8 +149,7 @@ func optimize(args []string, stdout, stderr io.Writer) error {
 		for _, g := range gammas {
 			k.Int64(g)
 		}
-		k.Int(gc.Pop).Int(gc.Generations).Int(gc.Elite).Int(gc.TournamentK)
-		k.Float64(gc.CrossoverProb).Float64(gc.MutationProb).Uint64(gc.Seed)
+		gc.AppendKey(k)
 		man.ConfigKey = hex.EncodeToString([]byte(k.Sum()))
 		man.Traces = []obs.TraceRef{{Name: tr.Name, Fingerprint: experiments.Fingerprint(tr)}}
 		man.Seed = int64(*seed)

@@ -11,7 +11,7 @@
 //	cohort-report -dir results/ -md > report.md
 //	cohort-report -dir results/ -json
 //	cohort-report -dir results/ -check
-//	cohort-report -dir results/ -bench-out BENCH_baseline.json
+//	cohort-report -dir results/ -fingerprints
 package main
 
 import (
@@ -24,15 +24,11 @@ import (
 	"io"
 	"os"
 	"sort"
-	"strings"
 
+	"cohort/internal/cliutil"
 	"cohort/internal/obs"
 	"cohort/internal/stats"
 )
-
-// TrajectorySchema identifies the perf-trajectory document format appended
-// to by -bench-out (the BENCH_*.json files tracked in the repository).
-const TrajectorySchema = "cohort/bench-trajectory/v1"
 
 // ReportSchema identifies the merged-report JSON format (-json).
 const ReportSchema = "cohort/report/v1"
@@ -68,53 +64,33 @@ type Report struct {
 	Groups []Group `json:"groups"`
 }
 
-// TrajectoryEntry is one appended perf point: what ran and how long it took.
-// NumCPU/GoMaxProcs record the host's parallel capacity (optional, absent in
-// entries written before the fields existed) so that wall times are
-// self-explaining — e.g. workers=8 slower than workers=1 on a 1-CPU host.
-type TrajectoryEntry struct {
-	Tool        string             `json:"tool"`
-	ConfigKey   string             `json:"config_key"`
-	Workers     int                `json:"workers"`
-	NumCPU      int                `json:"num_cpu,omitempty"`
-	GoMaxProcs  int                `json:"gomaxprocs,omitempty"`
-	StartedAt   string             `json:"started_at"`
-	WallSeconds float64            `json:"wall_seconds"`
-	Engine      *stats.EngineStats `json:"engine,omitempty"`
-}
-
-// Trajectory is the append-only wall-time record (BENCH_*.json).
-type Trajectory struct {
-	Schema  string            `json:"schema"`
-	Entries []TrajectoryEntry `json:"entries"`
-}
-
 func main() {
-	if err := run(os.Args[1:], os.Stdout); err != nil {
-		fmt.Fprintln(os.Stderr, "cohort-report:", err)
-		os.Exit(1)
-	}
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
 }
 
-func run(args []string, stdout io.Writer) error {
+// run merges one manifest directory into a report on stdout and returns the
+// exit status: 0 on success, 2 for a bad flag, 1 for any other failure
+// (an unreadable manifest, or a determinism violation under -check or
+// -fingerprints).
+func run(args []string, stdout, stderr io.Writer) int {
+	return cliutil.Status("cohort-report", report(args, stdout, stderr), stderr)
+}
+
+func report(args []string, stdout, stderr io.Writer) error {
 	fs := flag.NewFlagSet("cohort-report", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		dir      = fs.String("dir", "", "directory of *.manifest.json files (required)")
-		md       = fs.Bool("md", false, "emit a markdown report")
-		asJSON   = fs.Bool("json", false, "emit the merged report as JSON instead of tables")
-		check    = fs.Bool("check", false, "strict mode for CI: require at least one manifest and fail on any determinism mismatch")
-		benchOut = fs.String("bench-out", "", "append every run's wall time to this perf-trajectory JSON file")
-		fpOnly   = fs.Bool("fingerprints", false, "emit one 'tool config_key metrics_sha256' line per group and nothing else (for golden comparison in CI)")
-		speedup  = fs.String("speedup", "", "compare two perf-trajectory files 'BASE.json,NEW.json': per (tool, config key) group, the best wall time in each and the speedup")
+		dir    = fs.String("dir", "", "directory of *.manifest.json files (required)")
+		md     = fs.Bool("md", false, "emit a markdown report")
+		asJSON = fs.Bool("json", false, "emit the merged report as JSON instead of tables")
+		check  = fs.Bool("check", false, "strict mode for CI: require at least one manifest and fail on any determinism mismatch")
+		fpOnly = fs.Bool("fingerprints", false, "emit one 'tool config_key metrics_sha256' line per group and nothing else (for golden comparison in CI)")
 	)
-	if err := fs.Parse(args); err != nil {
+	if err := cliutil.Parse(fs, args); err != nil {
 		return err
 	}
-	if *speedup != "" {
-		return runSpeedup(*speedup, stdout, *md)
-	}
 	if *dir == "" {
-		return fmt.Errorf("-dir is required")
+		return cliutil.Usagef("-dir is required")
 	}
 
 	ms, err := obs.LoadDir(*dir)
@@ -152,13 +128,6 @@ func run(args []string, stdout io.Writer) error {
 		fmt.Fprintln(stdout, string(b))
 	} else {
 		render(stdout, rep, *md)
-	}
-
-	if *benchOut != "" {
-		if err := appendTrajectory(*benchOut, ms); err != nil {
-			return err
-		}
-		fmt.Fprintf(os.Stderr, "cohort-report: appended %d run(s) to %s\n", len(ms), *benchOut)
 	}
 
 	if *check {
@@ -296,153 +265,4 @@ func pct(part, total int64) string {
 		return "-"
 	}
 	return fmt.Sprintf("%.1f%%", 100*float64(part)/float64(total))
-}
-
-// appendTrajectory appends one entry per manifest to the perf-trajectory
-// file, creating it when absent. Exact duplicates (same tool, key, workers,
-// start time) are dropped so re-running the report is idempotent.
-func appendTrajectory(path string, ms []*obs.Manifest) error {
-	traj := &Trajectory{Schema: TrajectorySchema}
-	if b, err := os.ReadFile(path); err == nil {
-		if err := json.Unmarshal(b, traj); err != nil {
-			return fmt.Errorf("%s: %v", path, err)
-		}
-		if traj.Schema != TrajectorySchema {
-			return fmt.Errorf("%s: schema %q, want %q", path, traj.Schema, TrajectorySchema)
-		}
-	} else if !os.IsNotExist(err) {
-		return err
-	}
-	seen := map[string]bool{}
-	for _, e := range traj.Entries {
-		seen[trajID(e)] = true
-	}
-	for _, m := range ms {
-		e := TrajectoryEntry{
-			Tool:        m.Tool,
-			ConfigKey:   m.ConfigKey,
-			Workers:     m.Workers,
-			StartedAt:   m.StartedAt,
-			WallSeconds: m.WallSeconds,
-			Engine:      m.Engine,
-		}
-		if m.Host != nil {
-			e.NumCPU = m.Host.NumCPU
-			e.GoMaxProcs = m.Host.GoMaxProcs
-		}
-		if seen[trajID(e)] {
-			continue
-		}
-		seen[trajID(e)] = true
-		traj.Entries = append(traj.Entries, e)
-	}
-	sort.Slice(traj.Entries, func(i, j int) bool {
-		a, b := traj.Entries[i], traj.Entries[j]
-		if a.StartedAt != b.StartedAt {
-			return a.StartedAt < b.StartedAt
-		}
-		if a.Tool != b.Tool {
-			return a.Tool < b.Tool
-		}
-		if a.ConfigKey != b.ConfigKey {
-			return a.ConfigKey < b.ConfigKey
-		}
-		return a.Workers < b.Workers
-	})
-	b, err := json.MarshalIndent(traj, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(b, '\n'), 0o644)
-}
-
-// loadTrajectory reads and schema-checks one perf-trajectory file.
-func loadTrajectory(path string) (*Trajectory, error) {
-	b, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	traj := &Trajectory{}
-	if err := json.Unmarshal(b, traj); err != nil {
-		return nil, fmt.Errorf("%s: %v", path, err)
-	}
-	if traj.Schema != TrajectorySchema {
-		return nil, fmt.Errorf("%s: schema %q, want %q", path, traj.Schema, TrajectorySchema)
-	}
-	return traj, nil
-}
-
-// runSpeedup renders the wall-time ratio between two perf-trajectory files:
-// entries are grouped by (tool, config key), each group is reduced to its
-// best (minimum) wall time per file — the trajectory holds runs at several
-// worker counts, and the best run is what a perf change
-// is judged by — and matching groups get a base/new speedup column. Groups
-// present in only one file render with '-' so a config drift is visible
-// rather than silently dropped.
-func runSpeedup(arg string, w io.Writer, md bool) error {
-	paths := strings.Split(arg, ",")
-	if len(paths) != 2 {
-		return fmt.Errorf("-speedup wants exactly two files 'BASE.json,NEW.json', got %d", len(paths))
-	}
-	base, err := loadTrajectory(strings.TrimSpace(paths[0]))
-	if err != nil {
-		return err
-	}
-	next, err := loadTrajectory(strings.TrimSpace(paths[1]))
-	if err != nil {
-		return err
-	}
-	best := func(t *Trajectory) (map[string]float64, []string) {
-		m := map[string]float64{}
-		var order []string
-		for _, e := range t.Entries {
-			id := e.Tool + "\x00" + e.ConfigKey
-			if v, ok := m[id]; !ok || e.WallSeconds < v {
-				if !ok {
-					order = append(order, id)
-				}
-				m[id] = e.WallSeconds
-			}
-		}
-		return m, order
-	}
-	baseBest, order := best(base)
-	nextBest, nextOrder := best(next)
-	for _, id := range nextOrder {
-		if _, ok := baseBest[id]; !ok {
-			order = append(order, id)
-		}
-	}
-	if len(order) == 0 {
-		return fmt.Errorf("-speedup: no entries in either trajectory")
-	}
-	t := stats.NewTable(
-		fmt.Sprintf("speedup: %s -> %s (best wall time per config)", paths[0], paths[1]),
-		"tool", "config", "base s", "new s", "speedup")
-	for _, id := range order {
-		tool, key, _ := strings.Cut(id, "\x00")
-		baseS, newS, ratio := "-", "-", "-"
-		b, okB := baseBest[id]
-		n, okN := nextBest[id]
-		if okB {
-			baseS = fmt.Sprintf("%.2f", b)
-		}
-		if okN {
-			newS = fmt.Sprintf("%.2f", n)
-		}
-		if okB && okN && n > 0 {
-			ratio = fmt.Sprintf("%.2fx", b/n)
-		}
-		t.AddRow(tool, obs.ShortKey(key), baseS, newS, ratio)
-	}
-	if md {
-		fmt.Fprintln(w, t.Markdown())
-	} else {
-		fmt.Fprintln(w, t.String())
-	}
-	return nil
-}
-
-func trajID(e TrajectoryEntry) string {
-	return fmt.Sprintf("%s\x00%s\x00%d\x00%s", e.Tool, e.ConfigKey, e.Workers, e.StartedAt)
 }

@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -40,7 +41,7 @@ func TestReportGroupsAndPasses(t *testing.T) {
 	writeManifest(t, dir, 8, snap(8))
 
 	var out bytes.Buffer
-	if err := run([]string{"-dir", dir, "-check"}, &out); err != nil {
+	if err := report([]string{"-dir", dir, "-check"}, &out, io.Discard); err != nil {
 		t.Fatalf("check on agreeing manifests failed: %v\n%s", err, out.String())
 	}
 	if !strings.Contains(out.String(), "metrics agree across runs") {
@@ -57,7 +58,7 @@ func TestReportDetectsDeterminismViolation(t *testing.T) {
 	writeManifest(t, dir, 8, snap(9)) // diverging metric value
 
 	var out bytes.Buffer
-	if err := run([]string{"-dir", dir}, &out); err != nil {
+	if err := report([]string{"-dir", dir}, &out, io.Discard); err != nil {
 		t.Fatalf("non-strict run must not fail: %v", err)
 	}
 	if !strings.Contains(out.String(), "METRICS DISAGREE") {
@@ -65,18 +66,18 @@ func TestReportDetectsDeterminismViolation(t *testing.T) {
 	}
 
 	out.Reset()
-	if err := run([]string{"-dir", dir, "-check"}, &out); err == nil {
+	if err := report([]string{"-dir", dir, "-check"}, &out, io.Discard); err == nil {
 		t.Fatal("-check must fail on diverging metrics")
 	}
 }
 
 func TestReportCheckRequiresManifests(t *testing.T) {
 	var out bytes.Buffer
-	if err := run([]string{"-dir", t.TempDir(), "-check"}, &out); err == nil {
+	if err := report([]string{"-dir", t.TempDir(), "-check"}, &out, io.Discard); err == nil {
 		t.Fatal("-check on an empty directory must fail")
 	}
 	out.Reset()
-	if err := run([]string{"-dir", t.TempDir()}, &out); err != nil {
+	if err := report([]string{"-dir", t.TempDir()}, &out, io.Discard); err != nil {
 		t.Fatalf("non-strict empty directory must render, not fail: %v", err)
 	}
 	if !strings.Contains(out.String(), "no manifests") {
@@ -88,7 +89,7 @@ func TestReportJSONOutput(t *testing.T) {
 	dir := t.TempDir()
 	writeManifest(t, dir, 1, snap(8))
 	var out bytes.Buffer
-	if err := run([]string{"-dir", dir, "-json"}, &out); err != nil {
+	if err := report([]string{"-dir", dir, "-json"}, &out, io.Discard); err != nil {
 		t.Fatal(err)
 	}
 	var rep Report
@@ -97,37 +98,6 @@ func TestReportJSONOutput(t *testing.T) {
 	}
 	if rep.Schema != ReportSchema || len(rep.Groups) != 1 || !rep.Groups[0].MetricsAgree {
 		t.Errorf("unexpected report: %+v", rep)
-	}
-}
-
-func TestTrajectoryAppendIdempotent(t *testing.T) {
-	dir := t.TempDir()
-	writeManifest(t, dir, 1, snap(8))
-	writeManifest(t, dir, 8, snap(8))
-	traj := filepath.Join(t.TempDir(), "BENCH_test.json")
-
-	var out bytes.Buffer
-	for i := 0; i < 2; i++ { // second pass must dedup, not double
-		if err := run([]string{"-dir", dir, "-bench-out", traj}, &out); err != nil {
-			t.Fatal(err)
-		}
-	}
-	b, err := os.ReadFile(traj)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var tr Trajectory
-	if err := json.Unmarshal(b, &tr); err != nil {
-		t.Fatal(err)
-	}
-	if tr.Schema != TrajectorySchema {
-		t.Errorf("schema = %q", tr.Schema)
-	}
-	if len(tr.Entries) != 2 {
-		t.Errorf("expected 2 deduped entries, got %d: %+v", len(tr.Entries), tr.Entries)
-	}
-	if tr.Entries[0].Workers != 1 || tr.Entries[1].Workers != 8 {
-		t.Errorf("entries out of order: %+v", tr.Entries)
 	}
 }
 
@@ -151,7 +121,7 @@ func TestReportRendersAttribution(t *testing.T) {
 	}
 
 	var out bytes.Buffer
-	if err := run([]string{"-dir", dir}, &out); err != nil {
+	if err := report([]string{"-dir", dir}, &out, io.Discard); err != nil {
 		t.Fatalf("report failed: %v\n%s", err, out.String())
 	}
 	got := out.String()
@@ -180,7 +150,7 @@ func TestReportAttributionInJSON(t *testing.T) {
 	}
 
 	var out bytes.Buffer
-	if err := run([]string{"-dir", dir, "-json"}, &out); err != nil {
+	if err := report([]string{"-dir", dir, "-json"}, &out, io.Discard); err != nil {
 		t.Fatal(err)
 	}
 	var rep Report
@@ -195,100 +165,63 @@ func TestReportAttributionInJSON(t *testing.T) {
 	}
 }
 
-// TestReportCurveRuns pins compatibility with runs recorded under the
-// retired -curve and -batch oracle flags: BENCH_pr10.json carries such runs
-// (the curve and oracle_batch fields), and must still load, compare under
-// -speedup, and accept appended runs without losing an entry.
-func TestReportCurveRuns(t *testing.T) {
-	legacy, err := loadTrajectory("../../BENCH_pr10.json")
-	if err != nil {
-		t.Fatal(err)
+// TestRun drives the CLI through its exit status: 0 for a report, 2 for a
+// bad or undefined flag, 1 when the manifests cannot be read or break the
+// determinism contract. Every failure names its cause on stderr.
+func TestRun(t *testing.T) {
+	agree := func(t *testing.T, dir string) {
+		writeManifest(t, dir, 1, snap(8))
+		writeManifest(t, dir, 8, snap(8))
 	}
-	if len(legacy.Entries) == 0 {
-		t.Fatal("BENCH_pr10.json loaded with no entries")
+	disagree := func(t *testing.T, dir string) {
+		writeManifest(t, dir, 1, snap(8))
+		writeManifest(t, dir, 8, snap(9))
 	}
-	var out bytes.Buffer
-	if err := run([]string{"-speedup", "../../BENCH_pr7.json,../../BENCH_pr10.json"}, &out); err != nil {
-		t.Fatal(err)
+	corrupt := func(t *testing.T, dir string) {
+		if err := os.WriteFile(filepath.Join(dir, "bad.manifest.json"), []byte("{"), 0o644); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if !strings.Contains(out.String(), "x") {
-		t.Errorf("no speedup ratio rendered:\n%s", out.String())
+	tests := []struct {
+		name    string
+		setup   func(t *testing.T, dir string)
+		args    []string // "DIR" stands for the populated directory
+		want    int
+		wantOut string
+		wantErr string
+	}{
+		{"agreeing runs", agree, []string{"-dir", "DIR", "-check"}, 0, "metrics agree across runs", ""},
+		{"fingerprints", agree, []string{"-dir", "DIR", "-fingerprints"}, 0, key, ""},
+		{"help", nil, []string{"-h"}, 0, "", "-fingerprints"},
+		{"missing -dir", nil, nil, 2, "", "-dir is required"},
+		{"undefined flag", nil, []string{"-nosuchflag"}, 2, "", "-nosuchflag"},
+		{"unreadable manifest", corrupt, []string{"-dir", "DIR"}, 1, "", "bad.manifest.json"},
+		{"empty directory under -check", nil, []string{"-dir", "DIR", "-check"}, 1, "", "holds no manifests"},
+		{"determinism violation under -check", disagree, []string{"-dir", "DIR", "-check"}, 1, "METRICS DISAGREE", "determinism violation"},
+		{"disagreeing fingerprints", disagree, []string{"-dir", "DIR", "-fingerprints"}, 1, "", "disagree on metrics"},
 	}
-	b, err := os.ReadFile("../../BENCH_pr10.json")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Contains(b, []byte(`"curve": true`)) {
-		t.Fatal("BENCH_pr10.json holds no curve run; the fixture no longer covers legacy fields")
-	}
-	traj := filepath.Join(t.TempDir(), "BENCH_pr10.json")
-	if err := os.WriteFile(traj, b, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	dir := t.TempDir()
-	writeManifest(t, dir, 1, snap(8))
-	if err := run([]string{"-dir", dir, "-bench-out", traj}, &out); err != nil {
-		t.Fatal(err)
-	}
-	got, err := loadTrajectory(traj)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got.Entries) != len(legacy.Entries)+1 {
-		t.Errorf("appending one run to %d legacy entries left %d", len(legacy.Entries), len(got.Entries))
-	}
-}
-
-// writeTrajectory drops a trajectory file with one entry per (key, wall) pair.
-func writeTrajectory(t *testing.T, path string, entries []TrajectoryEntry) {
-	t.Helper()
-	b, err := json.Marshal(&Trajectory{Schema: TrajectorySchema, Entries: entries})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(path, b, 0o644); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestSpeedupComparesTrajectories(t *testing.T) {
-	dir := t.TempDir()
-	basePath := filepath.Join(dir, "BENCH_base.json")
-	newPath := filepath.Join(dir, "BENCH_new.json")
-	key2 := strings.Repeat("cd", 32)
-	writeTrajectory(t, basePath, []TrajectoryEntry{
-		// Two base runs of the shared config: the slower one must not dilute
-		// the ratio — speedup compares best against best.
-		{Tool: "cohort-bench", ConfigKey: key, Workers: 1, StartedAt: "2026-01-01T00:00:00Z", WallSeconds: 12},
-		{Tool: "cohort-bench", ConfigKey: key, Workers: 8, StartedAt: "2026-01-01T00:01:00Z", WallSeconds: 10},
-		{Tool: "cohort-bench", ConfigKey: key2, Workers: 1, StartedAt: "2026-01-01T00:02:00Z", WallSeconds: 3},
-	})
-	writeTrajectory(t, newPath, []TrajectoryEntry{
-		{Tool: "cohort-bench", ConfigKey: key, Workers: 1, StartedAt: "2026-02-01T00:00:00Z", WallSeconds: 2},
-	})
-	var out bytes.Buffer
-	if err := run([]string{"-speedup", basePath + "," + newPath}, &out); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(out.String(), "5.00x") {
-		t.Errorf("expected 5.00x speedup (best 10 -> 2):\n%s", out.String())
-	}
-	// key2 exists only in the base file: rendered, with no ratio.
-	if !strings.Contains(out.String(), obs.ShortKey(key2)) {
-		t.Errorf("base-only config dropped from the comparison:\n%s", out.String())
-	}
-}
-
-func TestSpeedupRejectsBadArgs(t *testing.T) {
-	var out bytes.Buffer
-	if err := run([]string{"-speedup", "only-one.json"}, &out); err == nil {
-		t.Fatal("-speedup with one file must fail")
-	}
-	if err := run([]string{"-speedup", "a.json,b.json,c.json"}, &out); err == nil {
-		t.Fatal("-speedup with three files must fail")
-	}
-	missing := filepath.Join(t.TempDir(), "nope.json")
-	if err := run([]string{"-speedup", missing + "," + missing}, &out); err == nil {
-		t.Fatal("-speedup with missing files must fail")
+	for _, tt := range tests {
+		t.Run(tt.name, func(t *testing.T) {
+			dir := t.TempDir()
+			if tt.setup != nil {
+				tt.setup(t, dir)
+			}
+			args := append([]string(nil), tt.args...)
+			for i, a := range args {
+				if a == "DIR" {
+					args[i] = dir
+				}
+			}
+			var stdout, stderr bytes.Buffer
+			if got := run(args, &stdout, &stderr); got != tt.want {
+				t.Fatalf("exit %d, want %d; stderr:\n%s", got, tt.want, stderr.String())
+			}
+			if !strings.Contains(stdout.String(), tt.wantOut) {
+				t.Errorf("stdout does not contain %q:\n%s", tt.wantOut, stdout.String())
+			}
+			if !strings.Contains(stderr.String(), tt.wantErr) {
+				t.Errorf("stderr does not name %q:\n%s", tt.wantErr, stderr.String())
+			}
+		})
 	}
 }

@@ -9,7 +9,6 @@
 package main
 
 import (
-	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -17,6 +16,7 @@ import (
 	"os"
 
 	"cohort"
+	"cohort/internal/cliutil"
 )
 
 func main() {
@@ -27,6 +27,10 @@ func main() {
 // returns the exit status: 0 on success, 2 for a bad flag, 1 for any other
 // failure.
 func run(args []string, stdout, stderr io.Writer) int {
+	return cliutil.Status("cohort-trace", generate(args, stdout, stderr), stderr)
+}
+
+func generate(args []string, stdout, stderr io.Writer) error {
 	fs := flag.NewFlagSet("cohort-trace", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	var (
@@ -40,23 +44,16 @@ func run(args []string, stdout, stderr io.Writer) int {
 		binform = fs.Bool("binary", false, "write the compact binary format instead of text")
 		list    = fs.Bool("list", false, "list available benchmark profiles")
 	)
-	if err := fs.Parse(args); err != nil {
-		if errors.Is(err, flag.ErrHelp) {
-			return 0
-		}
-		return 2 // the flag package has printed the error and the usage
-	}
-	fail := func(status int, err error) int {
-		fmt.Fprintln(stderr, "cohort-trace:", err)
-		return status
+	if err := cliutil.Parse(fs, args); err != nil {
+		return err
 	}
 	switch {
 	case *cores < 1:
-		return fail(2, fmt.Errorf("-cores must be positive, got %d", *cores))
+		return cliutil.Usagef("-cores must be positive, got %d", *cores)
 	case *line < 1 || bits.OnesCount(uint(*line)) != 1:
-		return fail(2, fmt.Errorf("-line must be a positive power of two, got %d", *line))
+		return cliutil.Usagef("-line must be a positive power of two, got %d", *line)
 	case *scale <= 0:
-		return fail(2, fmt.Errorf("-scale must be positive, got %v", *scale))
+		return cliutil.Usagef("-scale must be positive, got %v", *scale)
 	}
 
 	if *list {
@@ -64,38 +61,35 @@ func run(args []string, stdout, stderr io.Writer) int {
 			fmt.Fprintf(stdout, "%-10s %8d accesses/core  shared %4d lines  %2.0f%% writes\n",
 				p.Name, p.AccessesPerCore, p.SharedLines, 100*p.PWrite)
 		}
-		return 0
+		return nil
 	}
 
 	p, err := cohort.ProfileByName(*bench)
 	if err != nil {
-		return fail(2, err)
+		return cliutil.Usagef("-bench: %v", err)
 	}
 	tr := p.Scaled(*scale).Generate(*cores, *line, *seed)
 
 	if *summary {
 		fmt.Fprint(stdout, cohort.SummarizeTrace(tr, *line))
-		return 0
+		return nil
 	}
 	if *out == "" || *out == "-" {
-		if err := write(tr, stdout, *binform); err != nil {
-			return fail(1, err)
-		}
-		return 0
+		return write(tr, stdout, *binform)
 	}
 	f, err := os.Create(*out)
 	if err != nil {
-		return fail(1, err)
+		return err
 	}
 	err = write(tr, f, *binform)
 	if cerr := f.Close(); err == nil {
 		err = cerr
 	}
 	if err != nil {
-		return fail(1, err)
+		return err
 	}
 	fmt.Fprintf(stderr, "wrote %d accesses (%d cores) to %s\n", tr.TotalAccesses(), tr.NumCores(), *out)
-	return 0
+	return nil
 }
 
 // write encodes the trace in the text or the binary format.

@@ -336,7 +336,7 @@ type (
 	// GovernorDecision is one governor sampling point.
 	GovernorDecision = core.GovernorDecision
 	// LatencySample is one point of a per-core latency time series
-	// (System.SampleLatency / System.LatencySeries).
+	// (System.SampleLatencyCores / System.LatencySeriesFor).
 	LatencySample = core.LatencySample
 	// LatencyHistogram is a power-of-two-bucket latency distribution.
 	LatencyHistogram = stats.Histogram

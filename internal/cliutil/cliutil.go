@@ -129,13 +129,6 @@ func (c *Common) StartProfiles(log *obs.Logger) (func(), error) {
 	}, nil
 }
 
-// Fatal prints a tool-prefixed error to stderr and exits 1 — the shared
-// shape of every CLI's error path.
-func Fatal(tool string, err error) {
-	fmt.Fprintln(os.Stderr, tool+":", err)
-	os.Exit(1)
-}
-
 // usageError is a flag value a tool rejects. Status maps it to exit 2, as
 // the flag package's own parse errors.
 type usageError struct{ error }

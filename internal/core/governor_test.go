@@ -155,14 +155,14 @@ func TestLatencySampler(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := sys.SampleLatency(0, 3000); err != nil {
+	if err := sys.SampleLatencyCores(3000, 0); err != nil {
 		t.Fatal(err)
 	}
 	run, err := sys.Run()
 	if err != nil {
 		t.Fatal(err)
 	}
-	series := sys.LatencySeries()
+	series := sys.LatencySeriesFor(0)
 	if len(series) == 0 {
 		t.Fatal("no samples recorded")
 	}
@@ -189,19 +189,19 @@ func TestLatencySampler(t *testing.T) {
 
 func TestLatencySamplerValidation(t *testing.T) {
 	sys, _ := New(governedConfig(), contendedTrace())
-	if err := sys.SampleLatency(-1, 10); err == nil {
+	if err := sys.SampleLatencyCores(10, -1); err == nil {
 		t.Fatal("bad core accepted")
 	}
-	if err := sys.SampleLatency(0, 0); err == nil {
+	if err := sys.SampleLatencyCores(0, 0); err == nil {
 		t.Fatal("bad window accepted")
 	}
-	if err := sys.SampleLatency(0, 10); err != nil {
+	if err := sys.SampleLatencyCores(10, 0); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := sys.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if err := sys.SampleLatency(0, 10); err == nil {
-		t.Fatal("SampleLatency after Run accepted")
+	if err := sys.SampleLatencyCores(10, 0); err == nil {
+		t.Fatal("SampleLatencyCores after Run accepted")
 	}
 }

@@ -179,10 +179,6 @@ func TestMultiCoreSampler(t *testing.T) {
 	if len(s0) == 0 || len(s1) == 0 {
 		t.Fatalf("missing series: %d/%d samples", len(s0), len(s1))
 	}
-	// The single-core accessor returns the first sampler's series.
-	if legacy := sys.LatencySeries(); len(legacy) != len(s0) || legacy[0] != s0[0] {
-		t.Fatalf("LatencySeries diverged from LatencySeriesFor(0)")
-	}
 	if sys.LatencySeriesFor(7) != nil {
 		t.Fatal("unsampled core returned a series")
 	}
@@ -206,17 +202,17 @@ func TestSamplerValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := sys.SampleLatency(5, 10); err == nil {
+	if err := sys.SampleLatencyCores(10, 5); err == nil {
 		t.Fatal("out-of-range core accepted")
 	}
-	if err := sys.SampleLatency(0, 0); err == nil {
+	if err := sys.SampleLatencyCores(0, 0); err == nil {
 		t.Fatal("zero window accepted")
 	}
 	// Re-sampling the same core replaces its window instead of duplicating.
-	if err := sys.SampleLatency(0, 10); err != nil {
+	if err := sys.SampleLatencyCores(10, 0); err != nil {
 		t.Fatal(err)
 	}
-	if err := sys.SampleLatency(0, 20); err != nil {
+	if err := sys.SampleLatencyCores(20, 0); err != nil {
 		t.Fatal(err)
 	}
 	if got := sys.SampledCores(); len(got) != 1 {
@@ -225,7 +221,7 @@ func TestSamplerValidation(t *testing.T) {
 	if _, err := sys.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if err := sys.SampleLatency(0, 10); err == nil {
-		t.Fatal("SampleLatency after Run accepted")
+	if err := sys.SampleLatencyCores(10, 0); err == nil {
+		t.Fatal("SampleLatencyCores after Run accepted")
 	}
 }

@@ -25,22 +25,14 @@ type latencySampler struct {
 	samples []LatencySample
 }
 
-// SampleLatency arranges for one core's memory latency to be sampled every
-// window cycles during the run — the measured counterpart of the WCML-over-
-// time plot in Fig. 7a. Must be called before Run; retrieve the series with
-// LatencySeries afterward. To sample several cores in one run use
-// SampleLatencyCores.
-func (s *System) SampleLatency(core int, window int64) error {
-	return s.SampleLatencyCores(window, core)
-}
-
 // SampleLatencyCores arranges for each listed core's memory latency to be
-// sampled every window cycles during the run. Must be called before Run;
-// calling it again for an already-sampled core replaces that core's window.
-// Retrieve the series with LatencySeriesFor.
+// sampled every window cycles during the run — the measured counterpart of
+// the WCML-over-time plot in Fig. 7a. Must be called before Run; calling it
+// again for an already-sampled core replaces that core's window. Retrieve
+// each core's series with LatencySeriesFor.
 func (s *System) SampleLatencyCores(window int64, cores ...int) error {
 	if s.ran {
-		return errors.New("core: SampleLatency after Run")
+		return errors.New("core: SampleLatencyCores after Run")
 	}
 	if window <= 0 {
 		return errors.New("core: sampler window must be positive")
@@ -71,15 +63,6 @@ func (s *System) SampleLatencyCores(window int64, cores ...int) error {
 		}
 	}
 	return nil
-}
-
-// LatencySeries returns the samples collected during the run for the first
-// sampled core (the single-core form predating SampleLatencyCores).
-func (s *System) LatencySeries() []LatencySample {
-	if len(s.samplers) == 0 {
-		return nil
-	}
-	return append([]LatencySample(nil), s.samplers[0].samples...)
 }
 
 // LatencySeriesFor returns the samples collected for one core (nil when the

@@ -141,9 +141,7 @@ func optimizeTimers(o *Options, tr *trace.Trace, critical []bool) (*opt.Result, 
 	for _, c := range critical {
 		k.Bool(c)
 	}
-	g := o.GA
-	k.Int(g.Pop).Int(g.Generations).Int(g.Elite).Int(g.TournamentK)
-	k.Float64(g.CrossoverProb).Float64(g.MutationProb).Uint64(g.Seed)
+	o.GA.AppendKey(k)
 	key := k.Sum()
 	if r, ok := optMemo.Get(key); ok {
 		progress().AddMemoHits(1)

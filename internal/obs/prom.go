@@ -208,7 +208,7 @@ func WritePromRuns(w io.Writer, sample []RunStatus) error {
 		{"cohort_run_generation", "gauge", func(s *RunStatus) string { return strconv.FormatInt(s.Generation, 10) }},
 		{"cohort_run_memo_hits_total", "counter", func(s *RunStatus) string { return strconv.FormatInt(s.MemoHits, 10) }},
 		{"cohort_run_memo_misses_total", "counter", func(s *RunStatus) string { return strconv.FormatInt(s.MemoMisses, 10) }},
-		{"cohort_run_lanes_total", "counter", func(s *RunStatus) string { return strconv.FormatInt(s.Lanes, 10) }},
+		{"cohort_run_replays_total", "counter", func(s *RunStatus) string { return strconv.FormatInt(s.Replays, 10) }},
 		{"cohort_run_elapsed_seconds", "gauge", func(s *RunStatus) string { return strconv.FormatFloat(s.ElapsedSeconds, 'g', -1, 64) }},
 		{"cohort_run_events_per_second", "gauge", func(s *RunStatus) string { return strconv.FormatFloat(s.EventsPerSecond, 'g', -1, 64) }},
 		{"cohort_run_eta_seconds", "gauge", func(s *RunStatus) string { return strconv.FormatFloat(s.ETASeconds, 'g', -1, 64) }},

@@ -69,7 +69,7 @@ func TestWritePromRuns(t *testing.T) {
 	sample := []RunStatus{{
 		ID: "bench-1", Tool: "cohort-bench", Name: "fig5a",
 		Events: 100, Cycles: 2000, CellsDone: 2, CellsTotal: 8,
-		MemoHits: 3, MemoMisses: 5, Lanes: 4,
+		MemoHits: 3, MemoMisses: 5, Replays: 4,
 		ElapsedSeconds: 1.5, EventsPerSecond: 66.5, ETASeconds: 4.5,
 	}}
 	b.Reset()
@@ -81,6 +81,8 @@ func TestWritePromRuns(t *testing.T) {
 		"# TYPE cohort_run_events_total counter\n",
 		`cohort_run_events_total{run="bench-1",tool="cohort-bench",name="fig5a"} 100` + "\n",
 		`cohort_run_cells_total{run="bench-1",tool="cohort-bench",name="fig5a"} 8` + "\n",
+		"# TYPE cohort_run_replays_total counter\n",
+		`cohort_run_replays_total{run="bench-1",tool="cohort-bench",name="fig5a"} 4` + "\n",
 		`cohort_run_eta_seconds{run="bench-1",tool="cohort-bench",name="fig5a"} 4.5` + "\n",
 		`cohort_run_done{run="bench-1",tool="cohort-bench",name="fig5a"} 0` + "\n",
 	} {

@@ -123,7 +123,7 @@ type RunHandle struct {
 	generations atomic.Int64 // GA generations planned (0 unknown)
 	memoHits    atomic.Int64
 	memoMisses  atomic.Int64
-	lanes       atomic.Int64 // oracle batch lanes completed
+	replays     atomic.Int64 // oracle replays completed
 	done        atomic.Bool
 }
 
@@ -192,10 +192,10 @@ func (h *RunHandle) AddMemoMisses(n int64) {
 	}
 }
 
-// AddLanes adds n completed oracle batch lanes.
-func (h *RunHandle) AddLanes(n int64) {
+// AddReplays adds n completed oracle replays.
+func (h *RunHandle) AddReplays(n int64) {
 	if h != nil {
-		h.lanes.Add(n)
+		h.replays.Add(n)
 	}
 }
 
@@ -227,7 +227,7 @@ func (h *RunHandle) status(now time.Time) RunStatus {
 		Generations:    h.generations.Load(),
 		MemoHits:       h.memoHits.Load(),
 		MemoMisses:     h.memoMisses.Load(),
-		Lanes:          h.lanes.Load(),
+		Replays:        h.replays.Load(),
 		ETASeconds:     -1,
 	}
 	if elapsed > 0 {
@@ -262,7 +262,7 @@ type RunStatus struct {
 	Generations     int64   `json:"generations"`
 	MemoHits        int64   `json:"memo_hits"`
 	MemoMisses      int64   `json:"memo_misses"`
-	Lanes           int64   `json:"lanes"`
+	Replays         int64   `json:"replays"`
 	EventsPerSecond float64 `json:"events_per_second"`
 	CyclesPerSecond float64 `json:"cycles_per_second"`
 	ETASeconds      float64 `json:"eta_seconds"`

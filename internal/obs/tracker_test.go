@@ -47,7 +47,7 @@ func TestRunTrackerSample(t *testing.T) {
 	h1.AddMemoMisses(5)
 	h2.SetGenerations(40)
 	h2.SetGeneration(7)
-	h2.AddLanes(16)
+	h2.AddReplays(16)
 	clk.Advance(2 * time.Second)
 
 	sample := tr.Sample()
@@ -75,7 +75,7 @@ func TestRunTrackerSample(t *testing.T) {
 	if s1.ETASeconds != 6 {
 		t.Errorf("ETA = %v, want 6", s1.ETASeconds)
 	}
-	if s2.Generation != 7 || s2.Generations != 40 || s2.Lanes != 16 {
+	if s2.Generation != 7 || s2.Generations != 40 || s2.Replays != 16 {
 		t.Errorf("s2 GA progress: %+v", s2)
 	}
 	// No cell plan on s2 → ETA unknown.
@@ -117,7 +117,7 @@ func TestRunTrackerNil(t *testing.T) {
 	h.SetGenerations(1)
 	h.AddMemoHits(1)
 	h.AddMemoMisses(1)
-	h.AddLanes(1)
+	h.AddReplays(1)
 	h.Finish()
 	if h.ID() != "" {
 		t.Errorf("nil handle id = %q", h.ID())

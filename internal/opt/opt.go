@@ -25,6 +25,7 @@ import (
 	"cohort/internal/analysis"
 	"cohort/internal/config"
 	"cohort/internal/obs"
+	"cohort/internal/parallel"
 	"cohort/internal/stats"
 	"cohort/internal/trace"
 )
@@ -376,7 +377,7 @@ func (e *evaluator) batch(genomes [][]config.Timer) []Evaluation {
 	// arithmetic in a fixed per-core order, identical for every worker count.
 	replays := resolve(e.p, e.sets, e.plans, jobs, e.workers)
 	e.replays += replays
-	e.progress.AddLanes(int64(replays))
+	e.progress.AddReplays(int64(replays))
 	results := make([]Evaluation, len(jobs))
 	for j := range jobs {
 		results[j] = e.c.evaluateOwned(jobs[j], e.sets)
@@ -434,6 +435,15 @@ type GAConfig struct {
 	// harness's memoization strip — live progress is allowed to depend on
 	// memo state, canonical output is not.
 	Progress *obs.RunHandle
+}
+
+// AppendKey appends the seven fields that determine a Result to k, in a
+// fixed order, for the config and memo keys built around an optimization.
+// Workers, Metrics, Recorder and Progress are left out: they never change
+// the Result, so runs that differ only in them share a key.
+func (gc GAConfig) AppendKey(k *parallel.Key) {
+	k.Int(gc.Pop).Int(gc.Generations).Int(gc.Elite).Int(gc.TournamentK)
+	k.Float64(gc.CrossoverProb).Float64(gc.MutationProb).Uint64(gc.Seed)
 }
 
 // DefaultGA returns the parameters used by the experiment harness.

@@ -1,10 +1,13 @@
 package opt
 
 import (
+	"reflect"
 	"testing"
 
 	"cohort/internal/analysis"
 	"cohort/internal/config"
+	"cohort/internal/obs"
+	"cohort/internal/parallel"
 	"cohort/internal/trace"
 )
 
@@ -198,6 +201,60 @@ func TestOptimizeConfigValidation(t *testing.T) {
 	if _, err := Optimize(p, gc); err == nil {
 		t.Fatal("elite ≥ pop accepted")
 	}
+}
+
+// TestGAConfigAppendKey pins what a GA result key covers: each of the seven
+// result-determining fields moves it, the observation-only fields leave it,
+// every GAConfig field is one or the other, and the bytes are those of the
+// field order existing manifests were keyed with.
+func TestGAConfigAppendKey(t *testing.T) {
+	key := func(gc GAConfig) string {
+		k := parallel.NewKey("test")
+		gc.AppendKey(k)
+		return k.Sum()
+	}
+	base := DefaultGA(7)
+	want := parallel.NewKey("test")
+	want.Int(32).Int(40).Int(2).Int(3).Float64(0.9).Float64(0.25).Uint64(7)
+	if key(base) != want.Sum() {
+		t.Fatal("GA key bytes differ from Pop, Generations, Elite, TournamentK, CrossoverProb, MutationProb, Seed")
+	}
+	type edit struct {
+		field string
+		apply func(*GAConfig)
+	}
+	moves := []edit{
+		{"Pop", func(g *GAConfig) { g.Pop++ }},
+		{"Generations", func(g *GAConfig) { g.Generations++ }},
+		{"Elite", func(g *GAConfig) { g.Elite++ }},
+		{"TournamentK", func(g *GAConfig) { g.TournamentK++ }},
+		{"CrossoverProb", func(g *GAConfig) { g.CrossoverProb = 0.5 }},
+		{"MutationProb", func(g *GAConfig) { g.MutationProb = 0.5 }},
+		{"Seed", func(g *GAConfig) { g.Seed++ }},
+	}
+	keeps := []edit{
+		{"Workers", func(g *GAConfig) { g.Workers = 8 }},
+		{"Metrics", func(g *GAConfig) { g.Metrics = obs.NewRegistry() }},
+		{"Recorder", func(g *GAConfig) { g.Recorder = obs.NewRecorder() }},
+		{"Progress", func(g *GAConfig) { g.Progress = obs.NewRunTracker(obs.ManualClock{}).Register("test", "key") }},
+	}
+	if n := reflect.TypeOf(GAConfig{}).NumField(); n != len(moves)+len(keeps) {
+		t.Fatalf("GAConfig has %d fields, the test classifies %d", n, len(moves)+len(keeps))
+	}
+	check := func(edits []edit, wantMoved bool) {
+		for _, e := range edits {
+			if _, ok := reflect.TypeOf(GAConfig{}).FieldByName(e.field); !ok {
+				t.Fatalf("GAConfig has no field %s", e.field)
+			}
+			gc := base
+			e.apply(&gc)
+			if moved := key(gc) != key(base); moved != wantMoved {
+				t.Errorf("changing %s: key moved = %v, want %v", e.field, moved, wantMoved)
+			}
+		}
+	}
+	check(moves, true)
+	check(keeps, false)
 }
 
 func BenchmarkEvaluate(b *testing.B) {

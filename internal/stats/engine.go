@@ -8,7 +8,8 @@ import "fmt"
 // The counters measure work avoided — the cache's contribution to speedup —
 // independently of wall-clock time, which simulator code must not read
 // (internal/lint walltime); measured wall-clock speedups live in the
-// benchmarks (BenchmarkOptimize*) and are recorded in EXPERIMENTS.md.
+// committed benchmark pairs (BENCH_prNN.parent.json and BENCH_prNN.json,
+// judged by bench/run.sh -compare).
 //
 // When every cache probe happens on the coordinating goroutine (the
 // optimizer's batch evaluator dedupes before dispatching), the counters are
