@@ -28,8 +28,8 @@ go test -run TestConcurrencyMutants ./internal/lint
 echo "==> go test -shuffle=on ./..."
 go test -shuffle=on ./...
 
-echo "==> go test -race -shuffle=on ./internal/..."
-go test -race -shuffle=on ./internal/...
+echo "==> go test -race -shuffle=on ./internal/... ./cmd/cohort-sim"
+go test -race -shuffle=on ./internal/... ./cmd/cohort-sim
 
 echo "==> curve-vs-scalar fuzzing, time-boxed (two-sided regime exactness beyond the corpus)"
 # A failing input lands in internal/analysis/testdata/fuzz; commit it.
@@ -87,12 +87,14 @@ for f in BENCH_*.json; do
   fi
 done
 
-echo "==> file-backed trace decode smoke (text and binary files print identical reports)"
+echo "==> file-backed trace decode smoke (text and binary files print identical reports; a cut file fails)"
 # A radix trace under -check: the *os.File decode of both formats, release
 # rounds across three mode switches, and the invariant checker. -check
 # sweeps the 32,768-entry LLC array per transaction, so the run that reaches
 # LLC evictions (radix at scale 14) goes without it and is compared with
-# the same trace generated in memory.
+# the same trace generated in memory. That file, cut inside its last core's
+# section, is decoded while the run is under way; the run must fail with
+# the decoder's error and print nothing.
 go build -o "$obsdir/" ./cmd/cohort-trace ./cmd/cohort-sim
 sim="-nonperfect -levels 4 -timers 300,20,20,20"
 "$obsdir/cohort-trace" -bench radix -scale 0.25 -out "$obsdir/radix.trace" 2>/dev/null
@@ -104,6 +106,15 @@ diff "$obsdir/radix.text.out" "$obsdir/radix.binary.out"
 "$obsdir/cohort-sim" -trace "$obsdir/radix14.ctrb" $sim -switch 10000000:2,20000000:3,30000000:4 > "$obsdir/radix14.file.out"
 "$obsdir/cohort-sim" -bench radix -scale 14 $sim -switch 10000000:2,20000000:3,30000000:4 > "$obsdir/radix14.generated.out"
 diff "$obsdir/radix14.generated.out" "$obsdir/radix14.file.out"
+size=$(wc -c < "$obsdir/radix14.ctrb")
+head -c $((size - 20)) "$obsdir/radix14.ctrb" > "$obsdir/radix14.cut.ctrb"
+status=0
+"$obsdir/cohort-sim" -trace "$obsdir/radix14.cut.ctrb" $sim > "$obsdir/radix14.cut.out" 2> "$obsdir/radix14.cut.err" || status=$?
+if [ "$status" != 1 ] || [ -s "$obsdir/radix14.cut.out" ] || ! grep -q 'cohort-sim: trace: core 3 access' "$obsdir/radix14.cut.err"; then
+  cat "$obsdir/radix14.cut.err"
+  echo "    FAIL: a cut binary trace exited $status; want 1, empty stdout and the decoder's core 3 error"
+  exit 1
+fi
 
 echo "==> live debug-server smoke (/healthz, /metrics, /runs, pprof mid-run)"
 go build -o "$obsdir/cohort-bench" ./cmd/cohort-bench

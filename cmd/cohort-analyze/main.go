@@ -58,9 +58,9 @@ func analyze(args []string, stdout, stderr io.Writer) error {
 	case *levels < 1:
 		return cliutil.Usagef("-levels must be at least 1, got %d", *levels)
 	}
-	ths, err := parseTimers(*timers, *cores)
+	ths, err := cliutil.ParseTimers(*timers, *cores)
 	if err != nil {
-		return cliutil.Usage(err)
+		return err
 	}
 	var tasks []cohort.Task
 	if *deadlines != "" {
@@ -126,26 +126,6 @@ func analyze(args []string, stdout, stderr io.Writer) error {
 	}
 	fmt.Fprintf(stdout, "\n%s\n", rep)
 	return nil
-}
-
-// parseTimers parses one architectural timer per core: −1 (MSI), 0 (no
-// caching) or a countdown up to TimerMax.
-func parseTimers(s string, n int) ([]cohort.Timer, error) {
-	parts := strings.Split(s, ",")
-	out := make([]cohort.Timer, len(parts))
-	for i, p := range parts {
-		v, err := strconv.ParseInt(strings.TrimSpace(p), 10, 32)
-		if err != nil {
-			return nil, fmt.Errorf("-timers: bad timer %q: %v", p, err)
-		}
-		if out[i] = cohort.Timer(v); !out[i].Valid() {
-			return nil, fmt.Errorf("-timers: timer %d outside [-1, %d]", v, cohort.TimerMax)
-		}
-	}
-	if len(out) != n {
-		return nil, fmt.Errorf("-timers has %d values for %d cores", len(out), n)
-	}
-	return out, nil
 }
 
 // parseDeadlines parses one task deadline per core (0 = unconstrained) into

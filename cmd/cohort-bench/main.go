@@ -91,6 +91,20 @@ func run(args []string, stdout, stderr io.Writer, clk obs.Clock) error {
 			sel[k] = true
 		}
 	}
+	names := cohort.ProfileNames()
+	*bench = strings.TrimSpace(*bench)
+	if !slices.Contains(names, *bench) {
+		return cliutil.Usagef("-bench: unknown benchmark %q (known: %s)", *bench, strings.Join(names, ", "))
+	}
+	if *benches != "" {
+		for _, b := range strings.Split(*benches, ",") {
+			b = strings.TrimSpace(b)
+			if !slices.Contains(names, b) {
+				return cliutil.Usagef("-benches: unknown benchmark %q (known: %s)", b, strings.Join(names, ", "))
+			}
+			o.Benchmarks = append(o.Benchmarks, b)
+		}
+	}
 	// selected lists the chosen experiments in canonical (known) order, so
 	// "-run fig6a,fig5a" and "-run fig5a,fig6a" share a config key.
 	var selected []string
@@ -116,9 +130,6 @@ func run(args []string, stdout, stderr io.Writer, clk obs.Clock) error {
 	o.GA.Pop, o.GA.Generations = *pop, *gens
 	o.Jobs = cu.Jobs
 	o.GA.Workers = cu.Jobs
-	if *benches != "" {
-		o.Benchmarks = strings.Split(*benches, ",")
-	}
 
 	var (
 		man *obs.Manifest

@@ -91,7 +91,8 @@ func TestRunRejectsUnknownExperiment(t *testing.T) {
 
 // TestRunValidatesFlags drives main's exit path with flag values no
 // experiment can use: each exits 2 before any work, names the flag on
-// stderr and writes nothing to stdout. -cap 0 means no cap and runs.
+// stderr and writes nothing to stdout. -cap 0 means no cap and runs, and
+// benchmark names are trimmed.
 func TestRunValidatesFlags(t *testing.T) {
 	tests := []struct {
 		name    string
@@ -107,6 +108,10 @@ func TestRunValidatesFlags(t *testing.T) {
 		{"population within the elite", []string{"-pop", "2"}, 2, "-pop"},
 		{"zero generations", []string{"-gens", "0"}, 2, "-gens"},
 		{"unknown experiment in a list", []string{"-run", "fig5a,fig9z"}, 2, "-run"},
+		{"unknown benchmark in a list", []string{"-benches", "fft,nope"}, 2, `-benches: unknown benchmark "nope" (known: fft,`},
+		{"empty benchmark in a list", []string{"-benches", "fft,,lu"}, 2, `-benches: unknown benchmark ""`},
+		{"unknown benchmark", []string{"-bench", "nope"}, 2, `-bench: unknown benchmark "nope"`},
+		{"spaced benchmark list", []string{"-benches", "fft, lu", "-bench", " lu"}, 0, ""},
 		{"bad log level", []string{"-log-level", "loud"}, 2, "-log-level"},
 		{"undefined flag", []string{"-nosuchflag"}, 2, "-nosuchflag"},
 		{"no cap", []string{"-cap", "0"}, 0, ""},

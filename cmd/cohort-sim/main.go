@@ -39,7 +39,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	return cliutil.Status("cohort-sim", simulate(args, stdout, stderr), stderr)
 }
 
-func simulate(args []string, stdout, stderr io.Writer) error {
+func simulate(args []string, stdout, stderr io.Writer) (err error) {
 	fs := flag.NewFlagSet("cohort-sim", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	cu := cliutil.New("cohort-sim")
@@ -92,10 +92,19 @@ func simulate(args []string, stdout, stderr io.Writer) error {
 	}
 	defer stopProfiles()
 
-	tr, err := loadTrace(*traceFile, *dinFiles, *bench, *cores, *scale, *seed)
+	w, err := loadTrace(*traceFile, *dinFiles, *bench, *cores, *scale, *seed)
 	if err != nil {
 		return err
 	}
+	// A binary trace file is still decoding while the run starts. Every
+	// path waits for it: the file stays open until then, and a decode error
+	// outranks any other, as if the file had been decoded first.
+	defer func() {
+		if derr := w.close(); derr != nil {
+			err = derr
+		}
+	}()
+	tr := w.tr
 	n := tr.NumCores()
 
 	var cfg *cohort.SystemConfig
@@ -103,7 +112,7 @@ func simulate(args []string, stdout, stderr io.Writer) error {
 	case "cohort":
 		ths, err := parseTimers(*timers, n)
 		if err != nil {
-			return cliutil.Usage(err)
+			return err
 		}
 		cfg, err = cohort.NewCoHoRT(n, *levels, ths)
 		if err != nil {
@@ -114,7 +123,7 @@ func simulate(args []string, stdout, stderr io.Writer) error {
 	case "pendulum":
 		mask, err := parseMask(*crit, n)
 		if err != nil {
-			return cliutil.Usage(err)
+			return err
 		}
 		cfg = cohort.NewPENDULUM(mask)
 	case "msifcfs":
@@ -132,14 +141,29 @@ func simulate(args []string, stdout, stderr io.Writer) error {
 		cfg.CheckInvariants = true
 	}
 
-	bounds, err := cohort.Bounds(cfg, tr)
-	if err != nil {
-		return err
-	}
 	sys, err := cohort.NewSystem(cfg, tr)
 	if err != nil {
 		return err
 	}
+	if w.dec != nil {
+		if err := sys.Follow(w.dec); err != nil {
+			return err
+		}
+	}
+	// The bounds read whole streams: compute them on a second goroutine
+	// once the decode is done, beside the run.
+	var (
+		bounds    []cohort.CoreBound
+		boundsErr error
+		boundsEnd = make(chan struct{})
+	)
+	go func() {
+		defer close(boundsEnd)
+		if boundsErr = w.wait(); boundsErr == nil {
+			bounds, boundsErr = cohort.Bounds(cfg, tr)
+		}
+	}()
+	defer func() { <-boundsEnd }()
 	var (
 		reg *obs.Registry
 		rec *obs.Recorder
@@ -198,23 +222,20 @@ func simulate(args []string, stdout, stderr io.Writer) error {
 			return f.Close()
 		}
 	}
-	if *switches != "" {
-		for _, part := range strings.Split(*switches, ",") {
-			cm := strings.SplitN(part, ":", 2)
-			if len(cm) != 2 {
-				return cliutil.Usagef("bad -switch entry %q (want cycle:mode)", part)
-			}
-			cyc, err1 := strconv.ParseInt(cm[0], 10, 64)
-			mode, err2 := strconv.Atoi(cm[1])
-			if err1 != nil || err2 != nil {
-				return cliutil.Usagef("bad -switch entry %q", part)
-			}
-			if err := sys.ScheduleModeSwitch(cyc, mode); err != nil {
-				return cliutil.Usagef("-switch: %w", err)
-			}
+	sws, err := parseSwitches(*switches)
+	if err != nil {
+		return err
+	}
+	for _, sw := range sws {
+		if err := sys.ScheduleModeSwitch(sw.at, sw.mode); err != nil {
+			return cliutil.Usagef("-switch: %w", err)
 		}
 	}
 	run, err := sys.Run()
+	<-boundsEnd
+	if boundsErr != nil {
+		return boundsErr
+	}
 	if err != nil {
 		return err
 	}
@@ -293,7 +314,34 @@ func simulate(args []string, stdout, stderr io.Writer) error {
 	return nil
 }
 
-func loadTrace(path, din, bench string, cores int, scale float64, seed uint64) (*cohort.Trace, error) {
+// workload is the trace a run reads. A binary trace file is still being
+// decoded from file, behind dec, when loadTrace returns.
+type workload struct {
+	tr   *cohort.Trace
+	dec  *cohort.TraceDecoding
+	file *os.File
+}
+
+// wait waits for the decode, if there is one, and returns its error.
+func (w *workload) wait() error {
+	if w.dec == nil {
+		return nil
+	}
+	_, err := w.dec.Wait()
+	return err
+}
+
+// close waits for the decode, closes the file and returns the decode's
+// error.
+func (w *workload) close() error {
+	err := w.wait()
+	if w.file != nil {
+		w.file.Close()
+	}
+	return err
+}
+
+func loadTrace(path, din, bench string, cores int, scale float64, seed uint64) (*workload, error) {
 	if din != "" {
 		var streams []cohort.Stream
 		for _, f := range strings.Split(din, ",") {
@@ -308,52 +356,53 @@ func loadTrace(path, din, bench string, cores int, scale float64, seed uint64) (
 			}
 			streams = append(streams, s)
 		}
-		return cohort.TraceFromStreams("dinero", streams...), nil
+		return &workload{tr: cohort.TraceFromStreams("dinero", streams...)}, nil
 	}
 	if path != "" {
 		f, err := os.Open(path)
 		if err != nil {
 			return nil, err
 		}
-		defer f.Close()
 		// ReadAt leaves the offset at 0, and the binary decoder sizes the
 		// file itself, reading it through a bounded window.
 		var magic [4]byte
 		if n, _ := f.ReadAt(magic[:], 0); n == len(magic) && string(magic[:]) == "CTRB" {
-			return cohort.ParseBinaryTrace(f)
+			dec, err := cohort.DecodeBinaryTrace(f)
+			if err != nil {
+				f.Close()
+				return nil, err
+			}
+			return &workload{tr: dec.Trace(), dec: dec, file: f}, nil
 		}
-		return cohort.ParseTrace(f)
+		defer f.Close()
+		tr, err := cohort.ParseTrace(f)
+		if err != nil {
+			return nil, err
+		}
+		return &workload{tr: tr}, nil
 	}
 	p, err := cohort.ProfileByName(bench)
 	if err != nil {
 		return nil, cliutil.Usage(err)
 	}
-	return p.Scaled(scale).Generate(cores, 64, seed), nil
+	return &workload{tr: p.Scaled(scale).Generate(cores, 64, seed)}, nil
 }
 
+// parseTimers parses -timers for n cores; without it every core gets a
+// moderate default of 100.
 func parseTimers(s string, n int) ([]cohort.Timer, error) {
 	if s == "" {
 		out := make([]cohort.Timer, n)
 		for i := range out {
-			out[i] = 100 // a moderate default
+			out[i] = 100
 		}
 		return out, nil
 	}
-	parts := strings.Split(s, ",")
-	if len(parts) != n {
-		return nil, fmt.Errorf("-timers has %d values for %d cores", len(parts), n)
-	}
-	out := make([]cohort.Timer, n)
-	for i, p := range parts {
-		v, err := strconv.ParseInt(strings.TrimSpace(p), 10, 32)
-		if err != nil {
-			return nil, fmt.Errorf("-timers: bad timer %q: %v", p, err)
-		}
-		out[i] = cohort.Timer(v)
-	}
-	return out, nil
+	return cliutil.ParseTimers(s, n)
 }
 
+// parseMask parses -crit, one 0/1 criticality flag per core; without it
+// every core is critical.
 func parseMask(s string, n int) ([]bool, error) {
 	out := make([]bool, n)
 	if s == "" {
@@ -364,7 +413,7 @@ func parseMask(s string, n int) ([]bool, error) {
 	}
 	parts := strings.Split(s, ",")
 	if len(parts) != n {
-		return nil, fmt.Errorf("-crit has %d values for %d cores", len(parts), n)
+		return nil, cliutil.Usagef("-crit has %d values for %d cores", len(parts), n)
 	}
 	for i, p := range parts {
 		switch strings.TrimSpace(p) {
@@ -373,8 +422,36 @@ func parseMask(s string, n int) ([]bool, error) {
 		case "0":
 			out[i] = false
 		default:
-			return nil, fmt.Errorf("-crit: bad criticality flag %q", p)
+			return nil, cliutil.Usagef("-crit: bad criticality flag %q", p)
 		}
+	}
+	return out, nil
+}
+
+// modeSwitch is one -switch entry: a switch to mode at cycle at.
+type modeSwitch struct {
+	at   int64
+	mode int
+}
+
+// parseSwitches parses -switch, comma-separated cycle:mode entries. The
+// System checks the cycles and modes when it schedules them.
+func parseSwitches(s string) ([]modeSwitch, error) {
+	if s == "" {
+		return nil, nil
+	}
+	var out []modeSwitch
+	for _, part := range strings.Split(s, ",") {
+		cm := strings.SplitN(part, ":", 2)
+		if len(cm) != 2 {
+			return nil, cliutil.Usagef("bad -switch entry %q (want cycle:mode)", part)
+		}
+		cyc, err1 := strconv.ParseInt(cm[0], 10, 64)
+		mode, err2 := strconv.Atoi(cm[1])
+		if err1 != nil || err2 != nil {
+			return nil, cliutil.Usagef("bad -switch entry %q", part)
+		}
+		out = append(out, modeSwitch{at: cyc, mode: mode})
 	}
 	return out, nil
 }

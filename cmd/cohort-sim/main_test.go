@@ -2,12 +2,14 @@ package main
 
 import (
 	"bytes"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
 	"cohort"
+	"cohort/internal/cliutil"
 )
 
 // writeTraces writes one small generated trace to dir in the text and the
@@ -50,6 +52,12 @@ func TestRunRejectsBadInput(t *testing.T) {
 	if err := os.WriteFile(truncated, enc[:len(enc)*2/3], 0o644); err != nil {
 		t.Fatal(err)
 	}
+	// Cut inside the last core's section: the run is under way when the
+	// decode meets the cut.
+	cutLast := filepath.Join(dir, "cut-last.ctrb")
+	if err := os.WriteFile(cutLast, enc[:len(enc)-20], 0o644); err != nil {
+		t.Fatal(err)
+	}
 	tests := []struct {
 		name     string
 		args     []string
@@ -63,11 +71,14 @@ func TestRunRejectsBadInput(t *testing.T) {
 		{"zero scale", []string{"-scale", "0"}, 2, "-scale"},
 		{"unknown system", []string{"-system", "mesif"}, 2, "-system"},
 		{"timer count", []string{"-timers", "300,20"}, 2, "-timers"},
+		{"timer above range", []string{"-timers", "300,20,20,70000"}, 2, "-timers: timer 70000 outside [-1, 65535]"},
+		{"timer below range", []string{"-timers", "300,20,20,-5"}, 2, "-timers: timer -5 outside [-1, 65535]"},
 		{"bad switch", []string{"-levels", "2", "-switch", "100"}, 2, "-switch"},
 		{"switch mode out of range", []string{"-levels", "2", "-switch", "100:3"}, 2, "-switch"},
 		{"undefined flag", []string{"-nosuchflag"}, 2, "-nosuchflag"},
 		{"missing file", []string{"-trace", filepath.Join(dir, "missing.ctrb")}, 1, "missing.ctrb"},
 		{"truncated binary trace", []string{"-trace", truncated}, 1, "unexpected EOF"},
+		{"binary trace cut in the last core", []string{"-trace", cutLast}, 1, "core 3 access"},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
@@ -105,4 +116,41 @@ func TestTraceFormatsPrintSameReport(t *testing.T) {
 	if !strings.HasPrefix(binOut, "workload radix on cohort (4 cores") {
 		t.Fatalf("unexpected report:\n%s", binOut)
 	}
+}
+
+// FuzzListFlags feeds one string to every list-flag parser: -timers,
+// -crit and -switch. None may panic, each rejection must be a usage error
+// (exit 2), and each accepted list must have one valid entry per core.
+func FuzzListFlags(f *testing.F) {
+	for _, s := range []string{"", "300,20,20,-1", "1,0,1,0", "5000:2,9000:3", "70000", "-5", " 1, 0 ,1,0", "1:2:3", ":", ","} {
+		f.Add(s)
+	}
+	const n = 4
+	f.Fuzz(func(t *testing.T, s string) {
+		rejected := func(flag string, err error) bool {
+			if err == nil {
+				return false
+			}
+			if got := cliutil.Status("cohort-sim", err, io.Discard); got != 2 {
+				t.Fatalf("%s %q: exit %d for %v, want 2", flag, s, got, err)
+			}
+			return true
+		}
+		if ths, err := parseTimers(s, n); !rejected("-timers", err) {
+			if len(ths) != n {
+				t.Fatalf("-timers %q: %d timers for %d cores", s, len(ths), n)
+			}
+			for _, th := range ths {
+				if !th.Valid() {
+					t.Fatalf("-timers %q: accepted invalid timer %d", s, th)
+				}
+			}
+		}
+		if mask, err := parseMask(s, n); !rejected("-crit", err) && len(mask) != n {
+			t.Fatalf("-crit %q: %d flags for %d cores", s, len(mask), n)
+		}
+		if sws, err := parseSwitches(s); !rejected("-switch", err) && s != "" && len(sws) != strings.Count(s, ",")+1 {
+			t.Fatalf("-switch %q: %d switches", s, len(sws))
+		}
+	})
 }

@@ -162,6 +162,14 @@ func ParseTrace(r io.Reader) (*Trace, error) { return trace.Parse(r) }
 // (Trace.WriteBinary).
 func ParseBinaryTrace(r io.Reader) (*Trace, error) { return trace.ParseBinary(r) }
 
+// TraceDecoding is a binary trace still being decoded; System.Follow runs
+// on it while it decodes.
+type TraceDecoding = trace.Decoding
+
+// DecodeBinaryTrace starts decoding a binary trace on a goroutine of its
+// own (see trace.DecodeBinary).
+func DecodeBinaryTrace(r io.Reader) (*TraceDecoding, error) { return trace.DecodeBinary(r) }
+
 // ParseDinero decodes one core's stream from the classic Dinero ("din")
 // cache-trace format.
 func ParseDinero(r io.Reader) (Stream, error) { return trace.ParseDinero(r) }

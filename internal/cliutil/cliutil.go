@@ -14,7 +14,10 @@ import (
 	"os"
 	"runtime"
 	"runtime/pprof"
+	"strconv"
+	"strings"
 
+	"cohort/internal/config"
 	"cohort/internal/obs"
 )
 
@@ -139,6 +142,27 @@ func Usage(err error) error { return usageError{err} }
 // Usagef returns a rejected-flag-value error with a formatted message that
 // names the flag.
 func Usagef(format string, a ...any) error { return usageError{fmt.Errorf(format, a...)} }
+
+// ParseTimers parses -timers, one architectural timer per core: −1 (MSI),
+// 0 (no caching) or a countdown up to config.TimerMax. Any other list is a
+// rejected flag value.
+func ParseTimers(s string, n int) ([]config.Timer, error) {
+	parts := strings.Split(s, ",")
+	out := make([]config.Timer, len(parts))
+	for i, p := range parts {
+		v, err := strconv.ParseInt(strings.TrimSpace(p), 10, 32)
+		if err != nil {
+			return nil, Usagef("-timers: bad timer %q: %v", p, err)
+		}
+		if out[i] = config.Timer(v); !out[i].Valid() {
+			return nil, Usagef("-timers: timer %d outside [-1, %d]", v, config.TimerMax)
+		}
+	}
+	if len(out) != n {
+		return nil, Usagef("-timers has %d values for %d cores", len(out), n)
+	}
+	return out, nil
+}
 
 // errFlagSyntax reports flags the flag package rejected; it has already
 // printed why, with the usage.

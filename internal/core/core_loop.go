@@ -23,11 +23,19 @@ func (s *System) coreWake(c *coreState, now int64, tail bool) {
 		return
 	}
 	for {
-		if c.pos >= len(c.stream) {
-			if c.miss == nil {
-				c.finished = true
+		if c.pos >= c.limit {
+			if c.pos == len(c.stream) {
+				if c.miss == nil {
+					c.finished = true
+				}
+				return
 			}
-			return
+			// The decode has not reached this access yet (Follow): wait for
+			// it, then add the gap advanceIssue could not read.
+			if !s.more(c) {
+				return
+			}
+			c.nextEligible += c.stream[c.pos].Gap
 		}
 		if c.nextEligible > now {
 			if !tail || !s.eng.Advance(sim.Cycle(c.nextEligible)) {
@@ -62,11 +70,12 @@ func (s *System) coreWake(c *coreState, now int64, tail bool) {
 }
 
 // advanceIssue moves the issue cursor past the current access: the next
-// access becomes eligible after one issue cycle plus its compute gap.
+// access becomes eligible after one issue cycle plus its compute gap, which
+// coreWake adds instead when the access is not decoded yet.
 func (c *coreState) advanceIssue(now int64) {
 	c.pos++
 	c.nextEligible = now + 1
-	if c.pos < len(c.stream) {
+	if c.pos < c.limit {
 		c.nextEligible += c.stream[c.pos].Gap
 	}
 }

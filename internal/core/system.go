@@ -50,6 +50,7 @@ type coreState struct {
 
 	stream        trace.Stream
 	pos           int
+	limit         int   // accesses of stream decoded: reads stay below it
 	nextEligible  int64 // earliest issue cycle of the next access
 	miss          *missState
 	missBuf       missState // backing for miss: MSHR depth 1 means one record per core, recycled in place
@@ -84,6 +85,8 @@ type System struct {
 
 	inv    *invariant.Checker // nil unless cfg.CheckInvariants
 	invErr error              // first invariant violation, latched
+
+	feed *trace.Decoding // the decode the streams come from, if Follow was called
 
 	modeSwitches []scheduledSwitch
 	tracer       Tracer
@@ -180,6 +183,7 @@ func New(cfg *config.System, tr *trace.Trace) (*System, error) {
 			lut:    lut,
 			theta:  cfg.Cores[i].TimerAt(cfg.Mode),
 			stream: tr.Streams[i],
+			limit:  len(tr.Streams[i]),
 			wakeAt: -1,
 		})
 	}
@@ -247,6 +251,38 @@ func (s *System) ScheduleModeSwitch(at int64, mode int) error {
 	return nil
 }
 
+// Follow makes the run read each core's stream from d's trace while d
+// decodes it. A core that reaches the end of what d has decoded waits for
+// more, and a decode error ends the run: Run returns it ahead of any other.
+// Call it before Run.
+func (s *System) Follow(d *trace.Decoding) error {
+	if s.ran {
+		return errors.New("core: Follow after Run")
+	}
+	tr := d.Trace()
+	if tr.NumCores() != len(s.cores) {
+		return fmt.Errorf("core: trace has %d streams for %d cores", tr.NumCores(), len(s.cores))
+	}
+	for i, c := range s.cores {
+		c.stream, c.limit = tr.Streams[i], 0
+	}
+	s.feed = d
+	return nil
+}
+
+// more raises c's read limit to what the decode has reached past it,
+// waiting for it if need be. It reports false when no more will come: the
+// decode failed, so the budget drops to cycle 1 and no later event fires.
+func (s *System) more(c *coreState) bool {
+	n, err := s.feed.Next(c.id, c.limit)
+	if err != nil {
+		s.eng.SetBudget(1)
+		return false
+	}
+	c.limit = n
+	return true
+}
+
 // ErrDeadlock is returned by Run when the event queue drains with unfinished
 // cores — a protocol bug, never expected in a correct build.
 var ErrDeadlock = errors.New("core: simulation deadlocked")
@@ -275,10 +311,20 @@ func (s *System) Run() (*stats.Run, error) {
 			c.finished = true
 			continue
 		}
+		if c.limit == 0 && !s.more(c) {
+			break
+		}
 		c.nextEligible = c.stream[0].Gap
 		s.atEvent(c.nextEligible, evCoreWake, int32(c.id), 0, 0)
 	}
 	err := s.eng.Run()
+	// A decode error outranks every other outcome: the run read a trace
+	// that is not whole.
+	if s.feed != nil {
+		if _, ferr := s.feed.Wait(); ferr != nil {
+			return nil, ferr
+		}
+	}
 	// An invariant violation outranks any downstream symptom (budget
 	// exhaustion, deadlock): report the first breach, not the wreckage.
 	if s.invErr != nil {

@@ -52,8 +52,14 @@ func FuzzParseBinary(f *testing.F) {
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		tr, err := ParseBinary(bytes.NewReader(data))
-		// One-byte reads, read whole or through the window, must decode
-		// exactly as the sized in-memory reader does.
+		// The sequential decoder is the reference: the same trace, or the
+		// same error text.
+		ref, refErr := parseBinarySequential(bytes.NewReader(data))
+		if fmt.Sprint(err) != fmt.Sprint(refErr) || !reflect.DeepEqual(tr, ref) {
+			t.Fatalf("got (%v, %v), the sequential decoder (%v, %v)", tr != nil, err, ref != nil, refErr)
+		}
+		// One-byte reads, read whole with or without a Len method, must
+		// decode exactly as the *bytes.Reader does through its window.
 		for _, r := range []io.Reader{
 			iotest.OneByteReader(bytes.NewReader(data)),
 			sizedReader{iotest.OneByteReader(bytes.NewReader(data)), len(data)},
