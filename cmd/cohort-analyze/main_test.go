@@ -17,6 +17,7 @@ func TestRunRejectsBadFlags(t *testing.T) {
 		wantErr string
 	}{
 		{"zero cores", []string{"-cores", "0"}, "-cores"},
+		{"too many cores", []string{"-cores", "65"}, "-cores must be in [1, 64], got 65"},
 		{"negative levels", []string{"-levels", "-3"}, "-levels"},
 		{"zero levels", []string{"-levels", "0"}, "-levels"},
 		{"zero scale", []string{"-scale", "0"}, "-scale"},

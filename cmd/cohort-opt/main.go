@@ -61,8 +61,8 @@ func optimize(args []string, stdout, stderr io.Writer) error {
 	gc := cohort.DefaultGA(*gaSd)
 	// Reject values no optimization can use before any work.
 	switch {
-	case *cores < 1:
-		return cliutil.Usagef("-cores must be positive, got %d", *cores)
+	case *cores < 1 || *cores > cohort.MaxCores:
+		return cliutil.Usagef("-cores must be in [1, %d], got %d", cohort.MaxCores, *cores)
 	case !(*scale > 0):
 		return cliutil.Usagef("-scale must be positive, got %v", *scale)
 	case *pop <= gc.Elite:

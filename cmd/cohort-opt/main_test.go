@@ -16,6 +16,7 @@ func TestRunRejectsBadFlags(t *testing.T) {
 		wantErr string
 	}{
 		{"zero cores", []string{"-cores", "0"}, "-cores"},
+		{"too many cores", []string{"-cores", "65"}, "-cores must be in [1, 64], got 65"},
 		{"zero scale", []string{"-scale", "0"}, "-scale"},
 		{"negative scale", []string{"-scale", "-1"}, "-scale"},
 		{"NaN scale", []string{"-scale", "NaN"}, "-scale"},

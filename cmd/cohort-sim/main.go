@@ -71,8 +71,8 @@ func simulate(args []string, stdout, stderr io.Writer) (err error) {
 	}
 	// Reject values no simulation can use before any work.
 	switch {
-	case *cores < 1:
-		return cliutil.Usagef("-cores must be positive, got %d", *cores)
+	case *cores < 1 || *cores > cohort.MaxCores:
+		return cliutil.Usagef("-cores must be in [1, %d], got %d", cohort.MaxCores, *cores)
 	case *scale <= 0:
 		return cliutil.Usagef("-scale must be positive, got %v", *scale)
 	case *levels < 1:

@@ -58,6 +58,20 @@ func TestRunRejectsBadInput(t *testing.T) {
 	if err := os.WriteFile(cutLast, enc[:len(enc)-20], 0o644); err != nil {
 		t.Fatal(err)
 	}
+	// One stream more than the sharer bitmask has bits: rejected when the
+	// platform is built, before the run.
+	fft, err := cohort.ProfileByName("fft")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wide bytes.Buffer
+	if err := fft.Scaled(0.01).Generate(cohort.MaxCores+1, 64, 42).WriteBinary(&wide); err != nil {
+		t.Fatal(err)
+	}
+	tooWide := filepath.Join(dir, "65-cores.ctrb")
+	if err := os.WriteFile(tooWide, wide.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
 	tests := []struct {
 		name     string
 		args     []string
@@ -65,6 +79,7 @@ func TestRunRejectsBadInput(t *testing.T) {
 		wantErr  string
 	}{
 		{"zero cores", []string{"-cores", "0"}, 2, "-cores"},
+		{"too many cores", []string{"-cores", "65"}, 2, "-cores must be in [1, 64], got 65"},
 		{"negative levels", []string{"-levels", "-3"}, 2, "-levels"},
 		{"crit without pendulum", []string{"-crit", "1,1,0,0"}, 2, "-crit"},
 		{"crit with pcc", []string{"-system", "pcc", "-crit", "1,0,0,0"}, 2, "-crit"},
@@ -79,6 +94,7 @@ func TestRunRejectsBadInput(t *testing.T) {
 		{"missing file", []string{"-trace", filepath.Join(dir, "missing.ctrb")}, 1, "missing.ctrb"},
 		{"truncated binary trace", []string{"-trace", truncated}, 1, "unexpected EOF"},
 		{"binary trace cut in the last core", []string{"-trace", cutLast}, 1, "core 3 access"},
+		{"trace with too many cores", []string{"-trace", tooWide}, 1, "65 cores, at most 64"},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {

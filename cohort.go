@@ -85,6 +85,9 @@ const (
 	TimerNoCache = config.TimerNoCache
 	TimerMax     = config.TimerMax
 
+	// MaxCores is the most cores a platform may have.
+	MaxCores = config.MaxCores
+
 	ArbiterRROF = config.ArbiterRROF
 	ArbiterRR   = config.ArbiterRR
 	ArbiterFCFS = config.ArbiterFCFS

@@ -4,7 +4,7 @@ import (
 	"fmt"
 	"sort"
 
-	"cohort/internal/trace"
+	"cohort/internal/config"
 )
 
 // Waiter is one broadcast request queued behind a line's current owner.
@@ -18,10 +18,11 @@ type Waiter struct {
 }
 
 // LineInfo is the simulator's global view of one cache line: who owns it,
-// which cores hold read-only copies, the FIFO of broadcast requesters
-// waiting behind the owner, and a write-version counter used to check data
-// propagation in tests. A snooping system has no physical directory; this
-// structure is the simulator's bookkeeping of what the snoops imply.
+// which cores hold read-only copies, the ends of the FIFO of broadcast
+// requesters waiting behind the owner (the waiters themselves live in the
+// Directory), and a write-version counter used to check data propagation in
+// tests. A snooping system has no physical directory; this structure is the
+// simulator's bookkeeping of what the snoops imply. It holds no pointer.
 type LineInfo struct {
 	// Owner is the core holding the line in Modified state, or MemOwner
 	// when the shared memory owns it.
@@ -31,16 +32,15 @@ type LineInfo struct {
 	OwnerFetch int64
 	// Sharers is a bitmask of cores holding the line in Shared state.
 	Sharers uint64
-	// Waiters is the FIFO of broadcast requests not yet granted data.
-	Waiters []Waiter
 	// Version counts committed writes to the line.
 	Version uint64
 	// OwnerReleased marks that the owner's copy was invalidated at timer
 	// expiry (or evicted) while the data transfer to the head waiter is
 	// still pending; the data sits in the transfer buffer.
 	OwnerReleased bool
-	// OwnerReleasedAt is the cycle OwnerReleased became true.
-	OwnerReleasedAt int64
+	// waitHead and waitTail are the first and last waiter's core + 1, or 0
+	// when no request waits for the line.
+	waitHead, waitTail int32
 
 	// Contention counters over a run: bus requests (broadcasts) for the
 	// line, ownership transfers sourced from another cache, the cycles
@@ -54,44 +54,7 @@ type LineInfo struct {
 
 // PendingInv reports whether any remote requester waits for the line — the
 // PendingInv signal of Fig. 3 as seen by the owner.
-func (li *LineInfo) PendingInv() bool { return len(li.Waiters) > 0 }
-
-// HeadWaiter returns the oldest waiter, or nil.
-func (li *LineInfo) HeadWaiter() *Waiter {
-	if len(li.Waiters) == 0 {
-		return nil
-	}
-	return &li.Waiters[0]
-}
-
-// Enqueue appends a waiter; requests from the same core must not be queued
-// twice (one outstanding miss per core per line).
-func (li *LineInfo) Enqueue(w Waiter) error {
-	for _, q := range li.Waiters {
-		if q.Core == w.Core {
-			return fmt.Errorf("coherence: core %d already waiting for line", w.Core) //cohort:allow hotalloc: protocol-violation error path; the transaction aborts
-		}
-	}
-	if li.Waiters == nil {
-		// First waiter ever on this line: size the FIFO for a typical core
-		// count up front so steady-state enqueues never reallocate (PopWaiter
-		// preserves the capacity).
-		li.Waiters = make([]Waiter, 0, 4) //cohort:allow hotalloc: first-touch FIFO sizing, once per line
-	}
-	li.Waiters = append(li.Waiters, w) //cohort:allow hotalloc: within capacity unless >4 cores queue; PopWaiter keeps the backing array
-	return nil
-}
-
-// PopWaiter removes and returns the oldest waiter. The shift-copy keeps the
-// slice anchored to its backing array (a reslice li.Waiters[1:] would walk
-// off the front and force a fresh allocation on every future enqueue).
-func (li *LineInfo) PopWaiter() Waiter {
-	w := li.Waiters[0]
-	n := len(li.Waiters) - 1
-	copy(li.Waiters, li.Waiters[1:])
-	li.Waiters = li.Waiters[:n]
-	return w
-}
+func (li *LineInfo) PendingInv() bool { return li.waitHead != 0 }
 
 // AddSharer marks core as holding a Shared copy.
 func (li *LineInfo) AddSharer(core int) { li.Sharers |= 1 << uint(core) }
@@ -102,15 +65,12 @@ func (li *LineInfo) RemoveSharer(core int) { li.Sharers &^= 1 << uint(core) }
 // IsSharer reports whether core holds a Shared copy.
 func (li *LineInfo) IsSharer(core int) bool { return li.Sharers&(1<<uint(core)) != 0 }
 
-// SharerList returns the sharer cores in ascending order (deterministic).
-func (li *LineInfo) SharerList(n int) []int {
-	var out []int
-	for c := 0; c < n; c++ {
-		if li.IsSharer(c) {
-			out = append(out, c)
-		}
-	}
-	return out
+// waitSlot is one core's place in the waiter FIFOs: its queued request and
+// the next waiter for the same line.
+type waitSlot struct {
+	w      Waiter
+	next   int32 // next waiter's core + 1; 0 ends the line's FIFO
+	queued bool
 }
 
 // dirSlot is one open-addressing table slot; empty iff li == nil (so address
@@ -154,6 +114,11 @@ type Directory struct {
 
 	lastAddr uint64    // one-entry lookup cache
 	lastLI   *LineInfo // nil until the first hit
+
+	// waiters holds every line's waiter FIFO, one slot per core linked by
+	// core index. A core has at most one outstanding miss (MSHR depth 1),
+	// so it waits on at most one line and one slot per core is exact.
+	waiters [config.MaxCores]waitSlot
 }
 
 // NewDirectory returns an empty directory.
@@ -277,5 +242,38 @@ func (d *Directory) ForEach(fn func(lineAddr uint64, li *LineInfo)) {
 	}
 }
 
-// RequestKind converts a trace access kind into the waiter Write flag.
-func RequestKind(k trace.Kind) bool { return k == trace.Write }
+// Enqueue appends w to li's waiter FIFO. A core waits for one line at a
+// time, so enqueuing a core that is already queued is an error.
+func (d *Directory) Enqueue(li *LineInfo, w Waiter) error {
+	if d.waiters[w.Core].queued {
+		return fmt.Errorf("coherence: core %d already waiting for a line", w.Core) //cohort:allow hotalloc: protocol-violation error path; the transaction aborts
+	}
+	d.waiters[w.Core] = waitSlot{w: w, queued: true}
+	id := int32(w.Core) + 1
+	if li.waitTail != 0 {
+		d.waiters[li.waitTail-1].next = id
+	} else {
+		li.waitHead = id
+	}
+	li.waitTail = id
+	return nil
+}
+
+// HeadWaiter returns li's oldest waiter, or nil.
+func (d *Directory) HeadWaiter(li *LineInfo) *Waiter {
+	if li.waitHead == 0 {
+		return nil
+	}
+	return &d.waiters[li.waitHead-1].w
+}
+
+// PopWaiter removes and returns li's oldest waiter; li must have one.
+func (d *Directory) PopWaiter(li *LineInfo) Waiter {
+	slot := &d.waiters[li.waitHead-1]
+	li.waitHead = slot.next
+	if li.waitHead == 0 {
+		li.waitTail = 0
+	}
+	slot.queued = false
+	return slot.w
+}

@@ -274,6 +274,10 @@ type System struct {
 	CheckInvariants bool `json:"check_invariants,omitempty"`
 }
 
+// MaxCores is the most cores a system may have: the width of the
+// directory's per-line sharer and requester bitmasks.
+const MaxCores = 64
+
 // N returns the number of cores.
 func (s *System) N() int { return len(s.Cores) }
 
@@ -304,6 +308,9 @@ func (s *System) Validate() error {
 	}
 	if len(s.Cores) == 0 {
 		return fail("no cores")
+	}
+	if len(s.Cores) > MaxCores {
+		return fail("%d cores, at most %d", len(s.Cores), MaxCores)
 	}
 	if s.Levels < 1 {
 		return fail("levels must be ≥ 1, got %d", s.Levels)

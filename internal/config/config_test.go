@@ -120,6 +120,19 @@ func TestValidationFailures(t *testing.T) {
 	}
 }
 
+// TestMaxCores pins the core-count bound: the sharer and requester bitmasks
+// hold MaxCores bits, so one core more must fail validation, not lose its
+// sharer bit mid-run.
+func TestMaxCores(t *testing.T) {
+	if err := PaperDefaults(MaxCores, 1).Validate(); err != nil {
+		t.Fatalf("%d cores: %v", MaxCores, err)
+	}
+	err := PaperDefaults(MaxCores+1, 1).Validate()
+	if !errors.Is(err, ErrInvalid) || !strings.Contains(err.Error(), "at most 64") {
+		t.Fatalf("%d cores: err = %v, want ErrInvalid naming the bound", MaxCores+1, err)
+	}
+}
+
 func TestCloneIsDeep(t *testing.T) {
 	s := PaperDefaults(4, 2)
 	s.Cores[0].Requirement = []int64{100, 200}

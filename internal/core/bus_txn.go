@@ -54,13 +54,10 @@ func (s *System) kickArbiter(now int64) {
 	}
 }
 
-// isHeadWaiter reports whether the core's miss is first in its line's FIFO.
+// isHeadWaiter reports whether the core's broadcast miss is first in its
+// line's FIFO.
 func (s *System) isHeadWaiter(c *coreState, m *missState) bool {
-	li := s.dir.Peek(m.line)
-	if li == nil {
-		return false
-	}
-	h := li.HeadWaiter()
+	h := s.dir.HeadWaiter(m.li)
 	return h != nil && h.Core == c.id
 }
 
@@ -138,6 +135,7 @@ func (s *System) finishBroadcast(c *coreState, m *missState, now int64) {
 	m.broadcasted = true
 	m.broadcastAt = now
 	li := s.dir.Get(m.line)
+	m.li = li
 	recordRequest(li, c.id)
 	// Upgrade: the stale S copy dies with the GetM broadcast.
 	if m.wasShared {
@@ -146,7 +144,7 @@ func (s *System) finishBroadcast(c *coreState, m *missState, now int64) {
 		}
 		li.RemoveSharer(c.id)
 	}
-	if err := li.Enqueue(coherence.Waiter{Core: c.id, Write: m.write, Broadcast: now}); err != nil {
+	if err := s.dir.Enqueue(li, coherence.Waiter{Core: c.id, Write: m.write, Broadcast: now}); err != nil {
 		panic(err) // unreachable: one outstanding miss per core
 	}
 	// Recompute the head waiter's readiness unconditionally: an upgrade
@@ -156,7 +154,7 @@ func (s *System) finishBroadcast(c *coreState, m *missState, now int64) {
 	// latency beyond Equation 1.
 	s.refreshLine(m.line, li, now)
 	s.verifyInvariants(now)
-	if li.HeadWaiter().Core == c.id {
+	if s.dir.HeadWaiter(li).Core == c.id {
 		// Fuse the data phase onto the same bus tenure when the data is
 		// already available. The broadcaster still holds the bus (busHeld),
 		// so no same-cycle kick can have granted it elsewhere.
@@ -176,7 +174,7 @@ func (s *System) finishBroadcast(c *coreState, m *missState, now int64) {
 // the corresponding hand-over/invalidation events and an arbitration kick at
 // the ready cycle.
 func (s *System) refreshLine(line uint64, li *coherence.LineInfo, now int64) {
-	head := li.HeadWaiter()
+	head := s.dir.HeadWaiter(li)
 	if head == nil {
 		return
 	}
@@ -250,7 +248,6 @@ func (s *System) releaseOwner(line uint64, li *coherence.LineInfo, write bool, n
 		s.applyHandover(oc, e, li, OwnerHandover(oc.theta, write))
 	}
 	li.OwnerReleased = true
-	li.OwnerReleasedAt = now
 }
 
 // applyHandover executes an OwnerHandover decision on the owner's copy.
@@ -317,7 +314,7 @@ func (s *System) scheduleSharerInvalidation(cj *coreState, line uint64, fetchSta
 // (TransferViaMemory — the PCC baseline), or from the LLC/DRAM when the
 // memory owns the line.
 func (s *System) grantData(c *coreState, m *missState, now int64) {
-	li := s.dir.Get(m.line)
+	li := m.li
 	m.inFlight = true
 	m.dataGrantAt = now
 	dur := s.cfg.Lat.Data
@@ -344,8 +341,8 @@ func (s *System) grantData(c *coreState, m *missState, now int64) {
 func (s *System) finishData(c *coreState, m *missState, now int64) {
 	s.clearKick(now)
 	m.inFlight = false
-	li := s.dir.Get(m.line)
-	w := li.PopWaiter()
+	li := m.li
+	w := s.dir.PopWaiter(li)
 	if w.Core != c.id {
 		panic(fmt.Sprintf("core: transfer completed for core %d but head waiter is %d", c.id, w.Core))
 	}

@@ -134,7 +134,7 @@ func (s *System) startMiss(c *coreState, a trace.Access, line uint64, entry *cac
 // completeMiss finishes the access that created the miss: installs the line
 // (unless θ = 0), records the latency, and resumes the core.
 func (s *System) completeMiss(c *coreState, m *missState, st cache.State, now int64) {
-	li := s.dir.Get(m.line)
+	li := m.li
 	if c.theta == 0 {
 		// θ = 0: serve the data without caching it.
 		if m.write {

@@ -125,7 +125,7 @@ func (s *System) firedOwnerRelease(idx int32, now int64) {
 	if li.Owner != int(r.core) || li.OwnerReleased || li.OwnerFetch != r.fetchStamp || !li.PendingInv() {
 		return
 	}
-	if li.HeadWaiter().Write != r.write {
+	if s.dir.HeadWaiter(li).Write != r.write {
 		return
 	}
 	s.checkTimerRelease(now, r.line, int(r.core), r.fetchStamp, s.cores[r.core].theta, r.reqVisible)

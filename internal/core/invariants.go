@@ -33,7 +33,7 @@ func (s *System) HeadDataReady(line uint64) int64 {
 	if li == nil {
 		return -1
 	}
-	head := li.HeadWaiter()
+	head := s.dir.HeadWaiter(li)
 	if head == nil {
 		return -1
 	}

@@ -33,6 +33,9 @@ type missState struct {
 	broadcastAt int64
 	dataReadyAt int64 // earliest cycle the data transfer may be granted; -1 unknown
 	inFlight    bool  // currently occupying the bus
+	// li is the line's directory record, kept from the broadcast on so the
+	// data phase needs no second lookup. Nil before the broadcast.
+	li *coherence.LineInfo
 	// Latency-attribution stamps (stats.Attribution): the broadcast- and
 	// data-grant cycles and the LLC/DRAM fetch penalty folded into the data
 	// phase. Plain integer fields in the recycled per-core record.
@@ -225,7 +228,7 @@ func (s *System) Quiescent() bool {
 	}
 	quiet := true
 	s.dir.ForEach(func(_ uint64, li *coherence.LineInfo) {
-		if li.HeadWaiter() != nil || li.OwnerReleased {
+		if li.PendingInv() || li.OwnerReleased {
 			quiet = false
 		}
 	})

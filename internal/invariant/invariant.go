@@ -247,7 +247,7 @@ func (c *Checker) checkLine(now int64, line uint64, li *coherence.LineInfo, cs [
 	// serialize behind the FIFO — their release clocks start only when the
 	// write reaches the head — so the sound sweep bound for them is the
 	// head's computed data-ready cycle: no blocking copy may outlive it.
-	head := li.HeadWaiter()
+	head := c.sys.Directory().HeadWaiter(li)
 	if head == nil {
 		return nil
 	}

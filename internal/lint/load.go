@@ -27,8 +27,9 @@ type listedPackage struct {
 	Dir        string
 	Name       string
 	GoFiles    []string
-	Standard   bool // part of the standard library
-	DepOnly    bool // reached only as a dependency of the listed patterns
+	Standard   bool   // part of the standard library
+	DepOnly    bool   // reached only as a dependency of the listed patterns
+	Export     string // compiler export data file in the build cache
 }
 
 func isTestFile(name string) bool {

@@ -7,6 +7,7 @@ import (
 	"go/importer"
 	"go/token"
 	"go/types"
+	"io"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -19,9 +20,9 @@ import (
 // package's Uses map is pointer-identical to the one in the defining
 // package's Defs map. That identity is what lets the call graph
 // (callgraph.go) follow an edge from a call site in internal/experiments into
-// a method declared in internal/core. The standard library's source importer
-// cannot provide it for module packages: it re-checks each import privately,
-// so cross-package objects never match.
+// a method declared in internal/core. Importing module packages from export
+// data cannot provide it: the imported objects are not the ones the source
+// type-check of the defining package creates, so they never match.
 type Program struct {
 	Fset *token.FileSet
 	// Pkgs are the packages matched by the load patterns, sorted by import
@@ -36,16 +37,81 @@ type Program struct {
 // Both pattern-matched and dependency-only packages are visible.
 func (p *Program) Package(path string) *Package { return p.byPath[path] }
 
+// exportImporter imports the packages a load does not type-check itself —
+// the standard library, and whatever lies outside a LoadTree tree — from the
+// compiler export data that `go list -export` reports. The local toolchain
+// builds that data into the build cache, so no load type-checks the standard
+// library from source.
+type exportImporter struct {
+	types.Importer                   // the gc importer, reading through open
+	files          map[string]string // import path → export data file
+}
+
+func newExportImporter(fset *token.FileSet) *exportImporter {
+	ei := &exportImporter{files: make(map[string]string)}
+	ei.Importer = importer.ForCompiler(fset, "gc", ei.open)
+	return ei
+}
+
+// add records the export data files of listed packages.
+func (ei *exportImporter) add(pkgs []*listedPackage) {
+	for _, lp := range pkgs {
+		if lp.Export != "" {
+			ei.files[lp.ImportPath] = lp.Export
+		}
+	}
+}
+
+// open hands the gc importer a package's export data, listing the package
+// and its dependencies first when no earlier listing covered it.
+func (ei *exportImporter) open(path string) (io.ReadCloser, error) {
+	if _, ok := ei.files[path]; !ok {
+		pkgs, err := goList(path)
+		if err != nil {
+			return nil, err
+		}
+		ei.add(pkgs)
+	}
+	file, ok := ei.files[path]
+	if !ok {
+		return nil, fmt.Errorf("lint: no export data for %s", path)
+	}
+	return os.Open(file)
+}
+
+// goList runs `go list -deps -export` over the patterns and returns the
+// listed packages, each after its dependencies.
+func goList(patterns ...string) ([]*listedPackage, error) {
+	args := append([]string{"list", "-deps", "-export", "-json=ImportPath,Dir,Name,GoFiles,Standard,DepOnly,Export"}, patterns...)
+	cmd := exec.Command("go", args...)
+	var out, errb bytes.Buffer
+	cmd.Stdout = &out
+	cmd.Stderr = &errb
+	if err := cmd.Run(); err != nil {
+		return nil, fmt.Errorf("lint: go list -deps %v: %v\n%s", patterns, err, errb.String())
+	}
+	var pkgs []*listedPackage
+	dec := json.NewDecoder(&out)
+	for dec.More() {
+		lp := new(listedPackage)
+		if err := dec.Decode(lp); err != nil {
+			return nil, fmt.Errorf("lint: decode go list output: %v", err)
+		}
+		pkgs = append(pkgs, lp)
+	}
+	return pkgs, nil
+}
+
 // progImporter type-checks module-internal packages once, memoized, and
-// delegates everything else (the standard library) to the source importer.
-// Import resolution recurses: checking a package first imports — and thereby
-// checks — its in-module dependencies, so packages are processed in
-// topological order without an explicit sort.
+// imports the standard library from export data. Import resolution
+// recurses: checking a package first imports — and thereby checks — its
+// in-module dependencies, so packages are processed in topological order
+// without an explicit sort.
 type progImporter struct {
 	fset     *token.FileSet
 	listed   map[string]*listedPackage
 	checked  map[string]*Package
-	fallback types.Importer
+	fallback *exportImporter
 }
 
 func (pi *progImporter) Import(path string) (*types.Package, error) {
@@ -83,24 +149,14 @@ func LoadProgram(patterns ...string) (*Program, error) {
 	if len(patterns) == 0 {
 		patterns = []string{"./..."}
 	}
-	args := append([]string{"list", "-deps", "-json=ImportPath,Dir,Name,GoFiles,Standard,DepOnly"}, patterns...)
-	cmd := exec.Command("go", args...)
-	var out, errb bytes.Buffer
-	cmd.Stdout = &out
-	cmd.Stderr = &errb
-	if err := cmd.Run(); err != nil {
-		return nil, fmt.Errorf("lint: go list -deps %v: %v\n%s", patterns, err, errb.String())
+	pkgs, err := goList(patterns...)
+	if err != nil {
+		return nil, err
 	}
 	listed := make(map[string]*listedPackage)
 	var matched []string
-	dec := json.NewDecoder(&out)
-	for dec.More() {
-		var lp listedPackage
-		if err := dec.Decode(&lp); err != nil {
-			return nil, fmt.Errorf("lint: decode go list output: %v", err)
-		}
-		p := lp
-		listed[p.ImportPath] = &p
+	for _, p := range pkgs {
+		listed[p.ImportPath] = p
 		if !p.Standard && !p.DepOnly && len(p.GoFiles) > 0 {
 			matched = append(matched, p.ImportPath)
 		}
@@ -112,8 +168,9 @@ func LoadProgram(patterns ...string) (*Program, error) {
 		fset:     fset,
 		listed:   listed,
 		checked:  make(map[string]*Package),
-		fallback: importer.ForCompiler(fset, "source", nil),
+		fallback: newExportImporter(fset),
 	}
+	pi.fallback.add(pkgs)
 	prog := &Program{Fset: fset, byPath: pi.checked}
 	for _, path := range matched {
 		pkg, err := pi.ensure(listed[path])
@@ -133,7 +190,7 @@ type treeImporter struct {
 	root     string
 	base     string
 	checked  map[string]*Package
-	fallback types.Importer
+	fallback *exportImporter
 }
 
 func (ti *treeImporter) Import(path string) (*types.Package, error) {
@@ -185,7 +242,7 @@ func LoadTree(root, base string) (*Program, error) {
 		root:     root,
 		base:     base,
 		checked:  make(map[string]*Package),
-		fallback: importer.ForCompiler(fset, "source", nil),
+		fallback: newExportImporter(fset),
 	}
 	var paths []string
 	err := filepath.Walk(root, func(p string, info os.FileInfo, err error) error {

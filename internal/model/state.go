@@ -126,7 +126,7 @@ func (c *Checker) encode(sys *core.System, boundary int64, order []int) []byte {
 			}
 		}
 		b = appendI64(b, int64(mask))
-		b = append(b, byte(len(li.Waiters)), boolByte(li.OwnerReleased))
+		b = append(b, boolByte(li.PendingInv()), boolByte(li.OwnerReleased))
 	}
 
 	if !c.sys.PerfectLLC {
