@@ -143,4 +143,12 @@ wait "$benchpid"
 echo "==> cohort-model -smoke (exhaustive closure at depth 4)"
 go run ./cmd/cohort-model -smoke -depth 4 -q -out "$obsdir/counterexample.txt"
 
+echo "==> cohort-model three-core preset (exhaustive closure at depth 3: 179 states, 101,466 runs)"
+go run ./cmd/cohort-model -config internal/model/testdata/smoke3.json -depth 3 -q -out "$obsdir/counterexample3.txt" > "$obsdir/model3.txt"
+if ! grep -qx 'cohort-model: 179 states, 101466 runs, depth 3' "$obsdir/model3.txt"; then
+  cat "$obsdir/model3.txt"
+  echo "    FAIL: the three-core closure moved"
+  exit 1
+fi
+
 echo "==> all checks passed"

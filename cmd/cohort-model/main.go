@@ -9,216 +9,194 @@
 //
 //	cohort-model -smoke                          # the CI tier (2 cores, 1 line, 2 modes)
 //	cohort-model -smoke -depth 3                 # deeper exploration
+//	cohort-model -config internal/model/testdata/smoke3.json -depth 3
 //	cohort-model -smoke -mutate timer-release-skew -out cex.txt
 //	cohort-model -replay cex.txt -chrome cex.json
 //
-// Exit status: 0 when exploration (or replay) finds no violation, 1 when a
-// violation is found, 2 on usage or internal errors.
+// Exit status: 0 when exploration (or replay) finds no violation, 1 when it
+// finds one or fails, 2 for a bad flag.
 package main
 
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
+	"slices"
 	"strconv"
 	"strings"
 
+	"cohort/internal/cliutil"
 	"cohort/internal/config"
 	"cohort/internal/model"
 )
 
 func main() {
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// run explores or replays as the flags say, writing the report to stdout
+// and progress and diagnostics to stderr, and returns the exit status.
+func run(args []string, stdout, stderr io.Writer) int {
+	return cliutil.Status("cohort-model", check(args, stdout, stderr), stderr)
+}
+
+func check(args []string, stdout, stderr io.Writer) error {
+	fs := flag.NewFlagSet("cohort-model", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		smoke      = flag.Bool("smoke", false, "explore the smoke configuration (2 cores, 1 line, 2 modes, θ ∈ {−1,0,2,5})")
-		configFile = flag.String("config", "", "explore a platform from this config JSON file instead of -smoke")
-		lines      = flag.String("lines", "0x1000", "comma-separated byte addresses of the lines to exercise (with -config)")
-		depth      = flag.Int("depth", 2, "exploration depth in windows")
-		gaps       = flag.String("gaps", "", "override post-quiescence gap menu (comma-separated cycles)")
-		offsets    = flag.String("offsets", "", "override intra-window race offset menu (comma-separated cycles)")
-		noPairs    = flag.Bool("no-pairs", false, "disable two-command race windows (faster, shallower)")
-		noSym      = flag.Bool("no-symmetry", false, "disable symmetry reduction over identical cores")
-		maxStates  = flag.Int64("max-states", 0, "truncate after this many distinct states (0 = exhaustive)")
-		spillDir   = flag.String("spill-dir", "", "visited-set spill directory (default: temp)")
-		spillAt    = flag.Int("spill-threshold", 0, "in-memory visited keys before spilling to disk (default 1M)")
-		mutate     = flag.String("mutate", "", "arm a seeded protocol fault: "+strings.Join(model.MutationNames(), " | "))
-		out        = flag.String("out", "counterexample.txt", "write the minimized counterexample script here on violation")
-		replayFile = flag.String("replay", "", "replay a counterexample script instead of exploring")
-		chrome     = flag.String("chrome", "", "with -replay: write a Perfetto/Chrome trace of the replay here")
-		quiet      = flag.Bool("q", false, "suppress per-level progress")
+		smoke      = fs.Bool("smoke", false, "explore the smoke configuration (2 cores, 1 line, 2 modes, θ ∈ {−1,0,2,5})")
+		configFile = fs.String("config", "", "explore a platform from this config JSON file instead of -smoke")
+		lines      = fs.String("lines", "0x1000", "comma-separated byte addresses of the lines to exercise (with -config)")
+		depth      = fs.Int("depth", 2, "exploration depth in windows")
+		gaps       = fs.String("gaps", "", "override the gap menu: comma-separated post-quiescence cycles, each below the window stride")
+		offsets    = fs.String("offsets", "", "override the race-offset menu: comma-separated intra-window cycles, each in [0, 65535]")
+		noPairs    = fs.Bool("no-pairs", false, "disable two-command race windows (faster, shallower)")
+		noSym      = fs.Bool("no-symmetry", false, "disable symmetry reduction over identical cores")
+		mutate     = fs.String("mutate", "", "arm a seeded protocol fault: "+strings.Join(model.MutationNames(), " | "))
+		out        = fs.String("out", "counterexample.txt", "write the minimized counterexample script here on violation")
+		replayFile = fs.String("replay", "", "replay a counterexample script instead of exploring")
+		chrome     = fs.String("chrome", "", "with -replay: write a Perfetto/Chrome trace of the replay here")
+		quiet      = fs.Bool("q", false, "suppress per-level progress")
 	)
-	flag.Parse()
-
-	if *mutate != "" {
-		if err := model.ApplyMutation(*mutate); err != nil {
-			fatal(err)
-		}
+	if err := cliutil.Parse(fs, args); err != nil {
+		return err
 	}
-
-	if *replayFile != "" {
-		replay(*replayFile, *chrome)
-		return
-	}
-
-	var mcfg model.Config
+	set := map[string]bool{}
+	fs.Visit(func(f *flag.Flag) { set[f.Name] = true })
 	switch {
+	case *mutate != "" && !slices.Contains(model.MutationNames(), *mutate):
+		return cliutil.Usagef("-mutate: unknown fault %q (have %s)", *mutate, strings.Join(model.MutationNames(), ", "))
+	case *chrome != "" && *replayFile == "":
+		return cliutil.Usagef("-chrome needs -replay")
+	case set["lines"] && *configFile == "":
+		return cliutil.Usagef("-lines needs -config")
+	case *replayFile != "":
+		return replay(*replayFile, *chrome, *mutate, stdout)
 	case *smoke && *configFile != "":
-		fatal(fmt.Errorf("-smoke and -config are mutually exclusive"))
-	case *smoke:
-		mcfg = model.Smoke(*depth)
-	case *configFile != "":
+		return cliutil.Usagef("-smoke and -config are mutually exclusive")
+	case !*smoke && *configFile == "":
+		return cliutil.Usagef("need -smoke, -config or -replay")
+	}
+
+	mcfg := model.Smoke(*depth)
+	if *configFile != "" {
+		addrs, err := parseList("-lines", *lines, strconv.ParseUint)
+		if err != nil {
+			return err
+		}
 		raw, err := os.ReadFile(*configFile)
 		if err != nil {
-			fatal(err)
+			return err
 		}
 		sys, err := config.ParseJSON(raw)
 		if err != nil {
-			fatal(err)
+			return fmt.Errorf("%s: %w", *configFile, err)
 		}
-		addrs, err := parseU64List(*lines)
-		if err != nil {
-			fatal(err)
-		}
-		mcfg = model.Config{Sys: sys, Lines: addrs, Depth: *depth, Pairs: true, Symmetry: true}
-	default:
-		fmt.Fprintln(os.Stderr, "cohort-model: need -smoke, -config or -replay")
-		flag.Usage()
-		os.Exit(2)
+		mcfg = model.Config{Sys: sys, Lines: addrs, Depth: *depth}
 	}
+	var err error
 	if *gaps != "" {
-		v, err := parseI64List(*gaps)
-		if err != nil {
-			fatal(err)
+		if mcfg.PostGaps, err = parseList("-gaps", *gaps, strconv.ParseInt); err != nil {
+			return err
 		}
-		mcfg.PostGaps = v
 	}
 	if *offsets != "" {
-		v, err := parseI64List(*offsets)
-		if err != nil {
-			fatal(err)
+		if mcfg.RaceOffsets, err = parseList("-offsets", *offsets, strconv.ParseInt); err != nil {
+			return err
 		}
-		mcfg.RaceOffsets = v
 	}
-	if *noPairs {
-		mcfg.Pairs = false
-	}
-	if *noSym {
-		mcfg.Symmetry = false
-	}
-	mcfg.Depth = *depth
-	mcfg.MaxStates = *maxStates
-	mcfg.SpillDir = *spillDir
-	mcfg.SpillThreshold = *spillAt
+	mcfg.Pairs, mcfg.Symmetry, mcfg.Mutation = !*noPairs, !*noSym, *mutate
 	if !*quiet {
 		mcfg.Progress = func(format string, args ...any) {
-			fmt.Fprintf(os.Stderr, format+"\n", args...)
+			fmt.Fprintf(stderr, format+"\n", args...)
 		}
 	}
-
+	// Every value the checker refuses came from the command line.
 	c, err := model.New(mcfg)
 	if err != nil {
-		fatal(err)
+		return cliutil.Usage(err)
 	}
 	res, err := c.Explore()
 	if err != nil {
-		fatal(err)
+		return err
 	}
-	exhaustive := "exhaustive"
-	if res.Truncated {
-		exhaustive = "TRUNCATED"
-	}
-	fmt.Printf("cohort-model: %d states, %d runs, depth %d (%s), %d spills\n",
-		res.States, res.Runs, res.Depth, exhaustive, res.Spills)
+	fmt.Fprintf(stdout, "cohort-model: %d states, %d runs, depth %d\n", res.States, res.Runs, res.Depth)
 	if res.Violation == nil {
-		fmt.Println("cohort-model: no violations")
-		return
+		fmt.Fprintln(stdout, "cohort-model: no violations")
+		return nil
 	}
 	v := res.Violation
-	fmt.Printf("cohort-model: VIOLATION [%s]\n  %s\n  script:    %s\n  minimized: %s\n",
+	fmt.Fprintf(stdout, "cohort-model: VIOLATION [%s]\n  %s\n  script:    %s\n  minimized: %s\n",
 		v.Kind, v.Err, model.Describe(v.Script), model.Describe(v.Minimized))
 	f, err := os.Create(*out)
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	if err := model.WriteScript(f, c.Sys(), c.Lines(), v.Minimized); err != nil {
-		fatal(err)
+		f.Close()
+		return err
 	}
 	if err := f.Close(); err != nil {
-		fatal(err)
+		return err
 	}
-	fmt.Printf("cohort-model: counterexample written to %s (replay with -replay %s)\n", *out, *out)
-	os.Exit(1)
+	fmt.Fprintf(stdout, "cohort-model: counterexample written to %s (replay with -replay %s)\n", *out, *out)
+	return fmt.Errorf("%s violation", v.Kind)
 }
 
 // replay re-executes a counterexample script through a checker rebuilt from
-// the script's embedded configuration.
-func replay(path, chrome string) {
+// the script's embedded configuration, with the named fault armed.
+func replay(path, chrome, mutation string, stdout io.Writer) error {
 	f, err := os.Open(path)
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	defer f.Close()
 	sys, lines, script, err := model.ParseScript(f)
 	if err != nil {
-		fatal(err)
+		return fmt.Errorf("%s: %w", path, err)
 	}
-	c, err := model.New(model.Config{Sys: sys, Lines: lines, Pairs: true})
+	c, err := model.New(model.Config{Sys: sys, Lines: lines, Pairs: true, Mutation: mutation})
 	if err != nil {
-		fatal(err)
+		return fmt.Errorf("%s: %w", path, err)
 	}
-	var out *model.ReplayOutcome
+	var res *model.ReplayOutcome
 	if chrome != "" {
 		cf, err := os.Create(chrome)
 		if err != nil {
-			fatal(err)
+			return err
 		}
-		out, err = c.ReplayChrome(script, cf)
-		if err != nil {
-			fatal(err)
+		if res, err = c.ReplayChrome(script, cf); err != nil {
+			cf.Close()
+			return err
 		}
 		if err := cf.Close(); err != nil {
-			fatal(err)
+			return err
 		}
-		fmt.Printf("cohort-model: chrome trace written to %s (load at ui.perfetto.dev)\n", chrome)
-	} else {
-		out, err = c.Replay(script)
-		if err != nil {
-			fatal(err)
-		}
+		fmt.Fprintf(stdout, "cohort-model: chrome trace written to %s (load at ui.perfetto.dev)\n", chrome)
+	} else if res, err = c.Replay(script); err != nil {
+		return err
 	}
-	fmt.Printf("cohort-model: replayed %s\n", model.Describe(script))
-	if out.Violation == nil {
-		fmt.Println("cohort-model: replay clean (no violation)")
-		return
+	fmt.Fprintf(stdout, "cohort-model: replayed %s\n", model.Describe(script))
+	if res.Violation == nil {
+		fmt.Fprintln(stdout, "cohort-model: replay clean (no violation)")
+		return nil
 	}
-	fmt.Printf("cohort-model: VIOLATION [%s]\n  %s\n", out.Violation.Kind, out.Violation.Err)
-	os.Exit(1)
+	fmt.Fprintf(stdout, "cohort-model: VIOLATION [%s]\n  %s\n", res.Violation.Kind, res.Violation.Err)
+	return fmt.Errorf("%s violation", res.Violation.Kind)
 }
 
-func parseU64List(s string) ([]uint64, error) {
-	var out []uint64
+// parseList parses a comma-separated list flag, each entry in any base
+// strconv accepts, naming the flag in a rejection. The checker range-checks
+// the entries.
+func parseList[T any](flagName, s string, parse func(string, int, int) (T, error)) ([]T, error) {
+	var out []T
 	for _, part := range strings.Split(s, ",") {
-		v, err := strconv.ParseUint(strings.TrimSpace(part), 0, 64)
+		v, err := parse(strings.TrimSpace(part), 0, 64)
 		if err != nil {
-			return nil, fmt.Errorf("bad address %q", part)
+			return nil, cliutil.Usagef("%s: bad entry %q", flagName, part)
 		}
 		out = append(out, v)
 	}
 	return out, nil
-}
-
-func parseI64List(s string) ([]int64, error) {
-	var out []int64
-	for _, part := range strings.Split(s, ",") {
-		v, err := strconv.ParseInt(strings.TrimSpace(part), 0, 64)
-		if err != nil {
-			return nil, fmt.Errorf("bad cycle count %q", part)
-		}
-		out = append(out, v)
-	}
-	return out, nil
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "cohort-model:", err)
-	os.Exit(2)
 }

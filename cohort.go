@@ -346,9 +346,6 @@ type (
 	Governor = core.Governor
 	// GovernorDecision is one governor sampling point.
 	GovernorDecision = core.GovernorDecision
-	// LatencySample is one point of a per-core latency time series
-	// (System.SampleLatencyCores / System.LatencySeriesFor).
-	LatencySample = core.LatencySample
 	// LatencyHistogram is a power-of-two-bucket latency distribution.
 	LatencyHistogram = stats.Histogram
 )

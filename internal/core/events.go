@@ -11,8 +11,7 @@ import (
 // hot path schedules these as plain data (kind + receiver + payload words)
 // instead of closures: scheduling a typed event performs zero allocations,
 // where the closure path allocated a capture record per callback. Cold paths
-// (governor, latency sampler, test scaffolding) keep the Schedule-closure
-// escape hatch.
+// (governor, test scaffolding) keep the Schedule-closure escape hatch.
 const (
 	// evCoreWake resumes core recv's issue loop (dedup through coreState.wakeAt).
 	evCoreWake sim.Kind = iota

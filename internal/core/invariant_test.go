@@ -207,3 +207,53 @@ func TestMutationTimerReleaseSkewCaught(t *testing.T) {
 		})
 	}
 }
+
+// TestCheckCoherencePlantedFaults plants one fault at a time in a finished
+// system whose two MSI cores share lineA; the end-of-run check must report
+// each one on the faulted line, with the invariant kind that names it.
+func TestCheckCoherencePlantedFaults(t *testing.T) {
+	tests := []struct {
+		name  string
+		plant func(sys *System, line uint64) (faulted uint64)
+		want  invariant.Kind
+	}{
+		{"shared copy the directory does not list", func(sys *System, line uint64) uint64 {
+			sys.Directory().Peek(line).RemoveSharer(1)
+			return line
+		}, invariant.KindSWMR},
+		{"copy with a stale version", func(sys *System, line uint64) uint64 {
+			sys.CoreL1(1).Lookup(line).Version++
+			return line
+		}, invariant.KindValueConsistency},
+		{"cached line the directory does not track", func(sys *System, _ uint64) uint64 {
+			l1 := sys.CoreL1(0)
+			untracked := l1.LineAddr(lineB)
+			l1.Fill(l1.VictimFor(untracked, nil), untracked, cache.Shared, 0)
+			return untracked
+		}, invariant.KindSWMR},
+	}
+	for _, tt := range tests {
+		t.Run(tt.name, func(t *testing.T) {
+			tr := mkTrace(
+				trace.Stream{{Addr: lineA, Kind: trace.Read}},
+				trace.Stream{{Addr: lineA, Kind: trace.Read, Gap: 100}},
+			)
+			sys := runChecked(t, cfgN(2, config.TimerMSI, config.TimerMSI), tr)
+			line := sys.CoreL1(0).LineAddr(lineA)
+			for i := 0; i < 2; i++ {
+				if e := sys.CoreL1(i).Lookup(line); e == nil || e.State != cache.Shared {
+					t.Fatalf("core %d does not hold lineA Shared: %+v", i, e)
+				}
+			}
+			faulted := tt.plant(sys, line)
+			err := sys.CheckCoherence()
+			var verr *invariant.Error
+			if !errors.As(err, &verr) {
+				t.Fatalf("CheckCoherence = %v, want an *invariant.Error", err)
+			}
+			if verr.Kind != tt.want || verr.Line != faulted {
+				t.Fatalf("got %s on line %#x, want %s on %#x: %v", verr.Kind, verr.Line, tt.want, faulted, verr)
+			}
+		})
+	}
+}

@@ -166,8 +166,8 @@ func (s *System) noteProgress(now int64) {
 
 // SetRecorder attaches a span/event recorder: bus occupancy spans
 // (broadcast and data phases), per-core miss intervals, timer-protection
-// windows, invalidation and mode-switch instants, and the latency-sampler
-// series become Chrome trace events (obs.Recorder.WriteChrome → Perfetto).
+// windows, and invalidation and mode-switch instants become Chrome trace
+// events (obs.Recorder.WriteChrome → Perfetto).
 // Timestamps are simulated cycles. Must be called before Run; passing nil
 // is a no-op. Recording is fully independent of SetTracer (both may be
 // attached) and has zero cost when detached.

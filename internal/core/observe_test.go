@@ -151,77 +151,3 @@ func TestObserveAfterRunRejected(t *testing.T) {
 		t.Fatal("SetRecorder after Run accepted")
 	}
 }
-
-func TestMultiCoreSampler(t *testing.T) {
-	cfg := cfgN(2, 300, 300)
-	tr := mkTrace(
-		trace.Stream{{Addr: lineA, Kind: trace.Write}, {Addr: lineB, Kind: trace.Read}},
-		trace.Stream{{Addr: lineA, Kind: trace.Write}},
-	)
-	sys, err := New(cfg, tr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rec := obs.NewRecorder()
-	if err := sys.SetRecorder(rec); err != nil {
-		t.Fatal(err)
-	}
-	if err := sys.SampleLatencyCores(10, 0, 1); err != nil {
-		t.Fatal(err)
-	}
-	if got := sys.SampledCores(); len(got) != 2 || got[0] != 0 || got[1] != 1 {
-		t.Fatalf("SampledCores = %v", got)
-	}
-	if _, err := sys.Run(); err != nil {
-		t.Fatal(err)
-	}
-	s0, s1 := sys.LatencySeriesFor(0), sys.LatencySeriesFor(1)
-	if len(s0) == 0 || len(s1) == 0 {
-		t.Fatalf("missing series: %d/%d samples", len(s0), len(s1))
-	}
-	if sys.LatencySeriesFor(7) != nil {
-		t.Fatal("unsampled core returned a series")
-	}
-	// Sampler series reach the recorder as counter tracks.
-	found := false
-	for _, ev := range rec.Events() {
-		if ev.Ph == "C" && ev.Name == "cum latency" {
-			found = true
-			break
-		}
-	}
-	if !found {
-		t.Fatal("sampler series missing from recorder")
-	}
-}
-
-func TestSamplerValidation(t *testing.T) {
-	cfg := cfgN(1, config.TimerMSI)
-	tr := mkTrace(trace.Stream{{Addr: lineA, Kind: trace.Read}})
-	sys, err := New(cfg, tr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := sys.SampleLatencyCores(10, 5); err == nil {
-		t.Fatal("out-of-range core accepted")
-	}
-	if err := sys.SampleLatencyCores(0, 0); err == nil {
-		t.Fatal("zero window accepted")
-	}
-	// Re-sampling the same core replaces its window instead of duplicating.
-	if err := sys.SampleLatencyCores(10, 0); err != nil {
-		t.Fatal(err)
-	}
-	if err := sys.SampleLatencyCores(20, 0); err != nil {
-		t.Fatal(err)
-	}
-	if got := sys.SampledCores(); len(got) != 1 {
-		t.Fatalf("duplicate sampler registered: %v", got)
-	}
-	if _, err := sys.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if err := sys.SampleLatencyCores(10, 0); err == nil {
-		t.Fatal("SampleLatencyCores after Run accepted")
-	}
-}

@@ -9,7 +9,6 @@ package core
 import (
 	"errors"
 	"fmt"
-	"sort"
 
 	"cohort/internal/bus"
 	"cohort/internal/cache"
@@ -93,7 +92,6 @@ type System struct {
 
 	modeSwitches []scheduledSwitch
 	tracer       Tracer
-	samplers     []*latencySampler
 	governor     *Governor
 	governorLog  []GovernorDecision
 	governorLast int64
@@ -290,25 +288,28 @@ func (s *System) more(c *coreState) bool {
 // cores — a protocol bug, never expected in a correct build.
 var ErrDeadlock = errors.New("core: simulation deadlocked")
 
+// CycleBudget is the livelock guard Run sets for a workload of the given
+// number of accesses: the last cycle an event may fire at. A correct
+// protocol finishes every access within its (loose) per-request bound, so
+// a run past this generous budget is a protocol bug and fails fast instead
+// of hanging the caller.
+func CycleBudget(accesses int64) int64 { return 10_000_000 + accesses*1_000_000 }
+
 // Run executes the workload to completion and returns the measurements.
 func (s *System) Run() (*stats.Run, error) {
 	if s.ran {
 		return nil, errors.New("core: System is single-use")
 	}
 	s.ran = true
-	// Livelock guard: a correct protocol finishes every access within its
-	// (loose) per-request bound; anything beyond this generous budget is a
-	// protocol bug and fails fast instead of hanging the caller.
 	var totalAccesses int64
 	for _, c := range s.cores {
 		totalAccesses += int64(len(c.stream))
 	}
-	s.eng.SetBudget(sim.Cycle(10_000_000 + totalAccesses*1_000_000))
+	s.eng.SetBudget(sim.Cycle(CycleBudget(totalAccesses)))
 	for _, sw := range s.modeSwitches {
 		s.atEvent(sw.at, evModeSwitch, 0, uint64(sw.mode), 0)
 	}
 	s.startGovernor()
-	s.startSampler()
 	for _, c := range s.cores {
 		if len(c.stream) == 0 {
 			c.finished = true
@@ -431,63 +432,15 @@ func (s *System) pinnedInL1(line uint64) bool {
 	return false
 }
 
-// CheckCoherence validates the coherence invariants across all caches and
-// the directory: at most one Modified copy per line; a Modified copy excludes
-// all other copies; every valid copy is registered in the directory; and
-// every copy's data version matches the line's committed version. Intended
-// for tests; cost is proportional to cache capacity.
+// CheckCoherence applies the invariant checker's per-line rule (SWMR,
+// value consistency, LLC inclusion) to every line an L1 holds, and rejects
+// a cached line the directory does not track. The first violation is an
+// *invariant.Error. Meant for the end of a run, when nothing is in flight
+// and only cached lines carry obligations; its cost is proportional to
+// cache capacity.
 func (s *System) CheckCoherence() error {
-	type copyInfo struct {
-		core  int
-		state cache.State
-		ver   uint64
-	}
-	copies := make(map[uint64][]copyInfo)
-	for _, c := range s.cores {
-		c.l1.ForEach(func(e *cache.Entry) {
-			copies[e.LineAddr] = append(copies[e.LineAddr], copyInfo{c.id, e.State, e.Version})
-		})
-	}
-	lines := make([]uint64, 0, len(copies))
-	for line := range copies {
-		lines = append(lines, line)
-	}
-	sort.Slice(lines, func(i, j int) bool { return lines[i] < lines[j] })
-	for _, line := range lines {
-		cs := copies[line]
-		li := s.dir.Peek(line)
-		if li == nil {
-			return fmt.Errorf("line %#x cached but not in directory", line)
-		}
-		modified := 0
-		for _, ci := range cs {
-			switch ci.state {
-			case cache.Invalid:
-				// Unreachable: ForEach yields valid entries only. Listed so
-				// the switch stays exhaustive over cache.State.
-			case cache.Modified, cache.Exclusive:
-				modified++
-				if li.Owner != ci.core {
-					return fmt.Errorf("line %#x: M in core %d but directory owner %d", line, ci.core, li.Owner)
-				}
-				if li.OwnerReleased {
-					return fmt.Errorf("line %#x: M copy present but marked released", line)
-				}
-			case cache.Shared:
-				if !li.IsSharer(ci.core) {
-					return fmt.Errorf("line %#x: S in core %d not registered as sharer", line, ci.core)
-				}
-			}
-			if ci.ver != li.Version {
-				return fmt.Errorf("line %#x: core %d holds version %d, committed %d", line, ci.core, ci.ver, li.Version)
-			}
-		}
-		if modified > 1 {
-			return fmt.Errorf("line %#x: %d owned (M/E) copies", line, modified)
-		}
-		if modified == 1 && len(cs) > 1 {
-			return fmt.Errorf("line %#x: owned copy coexists with %d other copies", line, len(cs)-1)
-		}
+	if err := invariant.NewChecker(s).CheckCached(int64(s.eng.Now())); err != nil {
+		return err
 	}
 	return nil
 }

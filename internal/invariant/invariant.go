@@ -150,16 +150,7 @@ func (c *Checker) Checks() int64 { return c.checks }
 // documented cost of enabling the checker.
 func (c *Checker) CheckTransaction(now int64) *Error {
 	c.checks++
-	n := c.sys.NumCores()
-	copies := make(map[uint64][]CoreLineState)
-	for i := 0; i < n; i++ {
-		core := i
-		c.sys.CoreL1(i).ForEach(func(e *cache.Entry) {
-			copies[e.LineAddr] = append(copies[e.LineAddr], CoreLineState{
-				Core: core, State: e.State, Version: e.Version, FetchedAt: e.FetchedAt,
-			})
-		})
-	}
+	copies := c.copies()
 	var first *Error
 	c.sys.Directory().ForEach(func(line uint64, li *coherence.LineInfo) {
 		cs := copies[line]
@@ -172,17 +163,53 @@ func (c *Checker) CheckTransaction(now int64) *Error {
 	if first != nil {
 		return first
 	}
-	// Copies the directory never heard of: a protocol bug by itself.
-	orphans := make([]uint64, 0, len(copies))
-	for line := range copies {
-		orphans = append(orphans, line)
+	// What is left are copies the directory never heard of.
+	return c.checkCopies(now, copies)
+}
+
+// CheckCached applies the per-line rule to every line an L1 holds, in
+// ascending line order, and returns the first violation at cycle now, or
+// nil. It is the end-of-run check: with nothing in flight only cached
+// lines carry obligations, so it never walks the directory, whose lines
+// can outnumber the cached ones by orders of magnitude.
+func (c *Checker) CheckCached(now int64) *Error {
+	return c.checkCopies(now, c.copies())
+}
+
+// copies snapshots every valid L1 copy, grouped by line.
+func (c *Checker) copies() map[uint64][]CoreLineState {
+	copies := make(map[uint64][]CoreLineState)
+	for i := 0; i < c.sys.NumCores(); i++ {
+		core := i
+		c.sys.CoreL1(i).ForEach(func(e *cache.Entry) {
+			copies[e.LineAddr] = append(copies[e.LineAddr], CoreLineState{
+				Core: core, State: e.State, Version: e.Version, FetchedAt: e.FetchedAt,
+			})
+		})
 	}
-	sort.Slice(orphans, func(i, j int) bool { return orphans[i] < orphans[j] })
-	for _, line := range orphans {
-		return &Error{
-			Kind: KindSWMR, Cycle: now, Line: line, Core: copies[line][0].Core,
-			States: copies[line],
-			Detail: "line cached in an L1 but not tracked in the directory",
+	return copies
+}
+
+// checkCopies checks each line of a snapshot, in ascending line order. A
+// cached line the directory does not track is a protocol bug by itself.
+func (c *Checker) checkCopies(now int64, copies map[uint64][]CoreLineState) *Error {
+	lines := make([]uint64, 0, len(copies))
+	for line := range copies {
+		lines = append(lines, line)
+	}
+	sort.Slice(lines, func(i, j int) bool { return lines[i] < lines[j] })
+	dir := c.sys.Directory()
+	for _, line := range lines {
+		cs := copies[line]
+		li := dir.Peek(line)
+		if li == nil {
+			return &Error{
+				Kind: KindSWMR, Cycle: now, Line: line, Core: cs[0].Core, States: cs,
+				Detail: "line cached in an L1 but not tracked in the directory",
+			}
+		}
+		if err := c.checkLine(now, line, li, cs); err != nil {
+			return err
 		}
 	}
 	return nil

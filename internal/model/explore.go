@@ -19,20 +19,6 @@ type node struct {
 // either is itself a regression signal.
 func (c *Checker) Explore() (*Result, error) {
 	res := &Result{}
-	vis, err := newVisited(c.cfg.SpillThreshold, c.cfg.SpillDir)
-	if err != nil {
-		return nil, err
-	}
-	defer func() {
-		res.Spills = vis.spills
-		vis.Close()
-	}()
-
-	report := func(format string, args ...any) {
-		if c.cfg.Progress != nil {
-			c.cfg.Progress(format, args...)
-		}
-	}
 	violation := func(s *Script, kind, msg string) *Result {
 		res.Violation = &Violation{Kind: kind, Err: msg, Script: s.clone()}
 		res.Violation.Minimized = c.minimize(s, kind, &res.Runs)
@@ -48,10 +34,7 @@ func (c *Checker) Explore() (*Result, error) {
 	if rr.kind != "" {
 		return violation(root, rr.kind, rr.msg), nil
 	}
-	key := c.canonicalKey(rr.sys, rr.boundary)
-	if _, err := vis.Add(key); err != nil {
-		return nil, err
-	}
+	visited := map[canonKey]bool{c.canonicalKey(rr.sys, rr.boundary): true}
 	res.States = 1
 	frontier := []node{{script: root, mode: rr.sys.Mode()}}
 
@@ -68,25 +51,20 @@ func (c *Checker) Explore() (*Result, error) {
 				if rr.kind != "" {
 					return violation(s2, rr.kind, rr.msg), nil
 				}
-				fresh, err := vis.Add(c.canonicalKey(rr.sys, rr.boundary))
-				if err != nil {
-					return nil, err
-				}
-				if !fresh {
+				key := c.canonicalKey(rr.sys, rr.boundary)
+				if visited[key] {
 					continue
 				}
+				visited[key] = true
 				res.States++
 				next = append(next, node{script: s2, mode: rr.sys.Mode()})
-				if c.cfg.MaxStates > 0 && res.States >= c.cfg.MaxStates {
-					res.Truncated = true
-					report("model: truncated at %d states (depth %d, %d runs)", res.States, depth+1, res.Runs)
-					return res, nil
-				}
 			}
 		}
 		res.Depth = depth + 1
 		frontier = next
-		report("model: depth %d done: %d states, %d runs, frontier %d", res.Depth, res.States, res.Runs, len(frontier))
+		if c.cfg.Progress != nil {
+			c.cfg.Progress("model: depth %d done: %d states, %d runs, frontier %d", res.Depth, res.States, res.Runs, len(frontier))
+		}
 	}
 	return res, nil
 }

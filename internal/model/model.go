@@ -20,16 +20,17 @@
 // access/switch races). The quiescent state after each replay is canonically
 // encoded — timer phases reduced to residues, write versions to deltas, LRU
 // stamps to ranks, and core identities folded under the symmetry group of
-// identically-configured cores — and deduplicated through a visited set that
-// spills to sorted disk segments when it outgrows memory. A violation
-// surfaces as a minimized Script: a complete, deterministic counterexample
-// replayable in the simulator and renderable as a Perfetto trace.
+// identically-configured cores — and deduplicated through an in-memory set
+// of visited states. A violation surfaces as a minimized Script: a complete,
+// deterministic counterexample replayable in the simulator and renderable
+// as a Perfetto trace.
 package model
 
 import (
 	"errors"
 	"fmt"
 	"io"
+	"slices"
 	"sort"
 
 	"cohort/internal/cache"
@@ -53,11 +54,13 @@ type Config struct {
 	Depth int
 	// PostGaps are the window start offsets, in cycles, after the previous
 	// quiescent boundary. Defaults to 0..4, covering every residue of the
-	// small timer moduli.
+	// small timer moduli. Each must lie below the window stride, which
+	// exceeds every LUT timer, so every residue stays reachable.
 	PostGaps []int64
 	// RaceOffsets are the intra-window delays of a second racing command.
 	// Defaults to the protocol-aligned set {0, 1, Req, Req+1, Req+Data,
 	// Req+Data+1} so races land exactly on broadcast and transfer edges.
+	// Each must lie in [0, config.TimerMax].
 	RaceOffsets []int64
 	// Pairs enables two-command race windows (on by default in presets;
 	// singles-only exploration is a faster shallow tier).
@@ -67,15 +70,10 @@ type Config struct {
 	// equivariant under core renaming; FCFS breaks ties by core id and TDM's
 	// slot schedule is id-ordered, so symmetry is silently disabled there.
 	Symmetry bool
-	// MaxStates truncates exploration after this many distinct states
-	// (0 = unbounded). A truncated run reports Truncated and proves nothing
-	// about uncovered states.
-	MaxStates int64
-	// SpillDir is where visited-set segments go when the in-memory set
-	// exceeds SpillThreshold keys ("" = a fresh temp dir). SpillThreshold 0
-	// defaults to 1<<20 keys (16 MiB resident).
-	SpillDir       string
-	SpillThreshold int
+	// Mutation names a seeded protocol fault (MutationNames) to arm while
+	// each replay runs; "" checks the protocol as shipped. The fault hooks
+	// are process-global, so never replay concurrently with one armed.
+	Mutation string
 	// Progress, when non-nil, receives one line per completed BFS level.
 	Progress func(format string, args ...any)
 }
@@ -89,10 +87,6 @@ type Result struct {
 	Runs int64
 	// Depth is the number of BFS levels fully expanded.
 	Depth int
-	// Truncated reports that MaxStates cut exploration short.
-	Truncated bool
-	// Spills is the number of visited-set segments written to disk.
-	Spills int
 	// Violation is the first property violation found, or nil if every
 	// explored state satisfied every invariant.
 	Violation *Violation
@@ -154,6 +148,9 @@ func New(cfg Config) (*Checker, error) {
 	if cfg.Depth < 0 {
 		return nil, fmt.Errorf("model: negative depth %d", cfg.Depth)
 	}
+	if cfg.Mutation != "" && !slices.Contains(MutationNames(), cfg.Mutation) {
+		return nil, fmt.Errorf("model: unknown mutation %q (have %v)", cfg.Mutation, MutationNames())
+	}
 	if len(cfg.PostGaps) == 0 {
 		cfg.PostGaps = []int64{0, 1, 2, 3, 4}
 	}
@@ -161,8 +158,10 @@ func New(cfg Config) (*Checker, error) {
 		r, d := sys.Lat.Req, sys.Lat.Data
 		cfg.RaceOffsets = []int64{0, 1, r, r + 1, r + d, r + d + 1}
 	}
-	if cfg.SpillThreshold <= 0 {
-		cfg.SpillThreshold = 1 << 20
+	for _, d := range cfg.RaceOffsets {
+		if d < 0 || d > int64(config.TimerMax) {
+			return nil, fmt.Errorf("model: race-offset menu entry %d outside [0, %d]", d, config.TimerMax)
+		}
 	}
 
 	c := &Checker{cfg: cfg, sys: sys, lineIdx: make(map[uint64]int), winCache: make(map[int][]Window)}
@@ -219,6 +218,13 @@ func New(cfg Config) (*Checker, error) {
 	// never silently unsound.
 	perCmd := maxOff + sys.Lat.Req + 2*sys.Lat.Data + sys.Lat.DRAM + maxTheta + sys.Lat.Hit + 8
 	c.stride = maxCmds * perCmd
+	// A longer gap would spend the run's cycle budget on idle time and
+	// report a livelock the protocol does not have.
+	for _, g := range cfg.PostGaps {
+		if g < 0 || g >= c.stride {
+			return nil, fmt.Errorf("model: gap menu entry %d outside [0, %d), the window stride", g, c.stride)
+		}
+	}
 
 	c.perms = corePerms(sys, cfg.Symmetry)
 	return c, nil
@@ -249,6 +255,10 @@ func (c *Checker) replay(s *Script, rec *obs.Recorder) (*replayResult, error) {
 	sched, err := computeSchedule(s)
 	if err != nil {
 		return nil, err
+	}
+	if c.cfg.Mutation != "" {
+		armMutation(c.cfg.Mutation)
+		defer armMutation("")
 	}
 	tr, err := buildTrace(c.sys, c.lines, sched)
 	if err != nil {
@@ -394,34 +404,20 @@ func corePerms(sys *config.System, symmetry bool) [][]int {
 // --- seeded mutations -------------------------------------------------------
 
 // MutationNames lists the seeded protocol faults the checker is proven to
-// catch (cmd/cohort-model -mutate, TestMutationsProduceCounterexamples).
+// catch (Config.Mutation, cmd/cohort-model -mutate,
+// TestMutationsProduceCounterexamples).
 func MutationNames() []string {
 	return []string{"skip-msi-downgrade", "timer-release-skew", "stale-sharer-bitmask", "lut-off-by-one"}
 }
 
-// ApplyMutation arms one seeded protocol fault by name. The hooks are
-// process-global; call ClearMutations when done and never explore
-// concurrently with a mutation armed.
-func ApplyMutation(name string) error {
-	switch name {
-	case "skip-msi-downgrade":
-		core.TestHooks.SkipMSIDowngrade = true
-	case "timer-release-skew":
-		core.TestHooks.TimerReleaseSkew = 3
-	case "stale-sharer-bitmask":
-		core.TestHooks.StaleSharerBitmask = true
-	case "lut-off-by-one":
-		coherence.TestHooks.LUTLookupOffByOne = true
-	default:
-		return fmt.Errorf("model: unknown mutation %q (have %v)", name, MutationNames())
-	}
-	return nil
-}
-
-// ClearMutations disarms every seeded fault.
-func ClearMutations() {
-	core.TestHooks.SkipMSIDowngrade = false
+// armMutation arms the named seeded fault and disarms every other; ""
+// disarms them all.
+func armMutation(name string) {
+	core.TestHooks.SkipMSIDowngrade = name == "skip-msi-downgrade"
 	core.TestHooks.TimerReleaseSkew = 0
-	core.TestHooks.StaleSharerBitmask = false
-	coherence.TestHooks.LUTLookupOffByOne = false
+	if name == "timer-release-skew" {
+		core.TestHooks.TimerReleaseSkew = 3
+	}
+	core.TestHooks.StaleSharerBitmask = name == "stale-sharer-bitmask"
+	coherence.TestHooks.LUTLookupOffByOne = name == "lut-off-by-one"
 }

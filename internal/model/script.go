@@ -9,6 +9,7 @@ import (
 	"strings"
 
 	"cohort/internal/config"
+	"cohort/internal/core"
 	"cohort/internal/trace"
 )
 
@@ -96,25 +97,31 @@ type schedSwitch struct {
 // boundary(i−1) + Gap; its commands start at cumulative offsets from there;
 // boundary(i) = boundary(i−1) + Gap + Stride. It rejects scripts whose
 // windows issue two accesses on the same core (the second would stall in the
-// MSHR and drift off the static schedule, making state pruning unsound).
+// MSHR and drift off the static schedule, making state pruning unsound), a
+// gap or offset outside [0, Stride), and a schedule that ends past
+// core.Run's cycle budget, which would spend the budget on idle time and
+// fake a livelock.
 func computeSchedule(s *Script) (*schedule, error) {
-	if s.Stride < 1 {
-		return nil, fmt.Errorf("model: script stride %d must be ≥ 1", s.Stride)
+	limit := core.CycleBudget(0)
+	if s.Stride < 1 || s.Stride > limit {
+		return nil, fmt.Errorf("model: script stride %d outside [1, %d]", s.Stride, limit)
 	}
 	sched := &schedule{}
 	boundary := int64(0)
 	for wi, w := range s.Windows {
-		if w.Gap < 0 {
-			return nil, fmt.Errorf("model: window %d has negative gap %d", wi, w.Gap)
+		if w.Gap < 0 || w.Gap >= s.Stride {
+			return nil, fmt.Errorf("model: window %d gap %d outside [0, %d), the stride", wi, w.Gap, s.Stride)
 		}
 		start := boundary + w.Gap
 		at := start
 		seen := map[int]bool{}
 		for ci, cmd := range w.Cmds {
-			if cmd.Offset < 0 {
-				return nil, fmt.Errorf("model: window %d command %d has negative offset %d", wi, ci, cmd.Offset)
+			if cmd.Offset < 0 || cmd.Offset >= s.Stride {
+				return nil, fmt.Errorf("model: window %d command %d offset %d outside [0, %d), the stride", wi, ci, cmd.Offset, s.Stride)
 			}
-			at += cmd.Offset
+			if at += cmd.Offset; at >= start+s.Stride {
+				return nil, fmt.Errorf("model: window %d offsets exceed the stride %d", wi, s.Stride)
+			}
 			if cmd.Switch {
 				sched.switches = append(sched.switches, schedSwitch{mode: cmd.Mode, at: at})
 				continue
@@ -125,10 +132,10 @@ func computeSchedule(s *Script) (*schedule, error) {
 			seen[cmd.Core] = true
 			sched.accesses = append(sched.accesses, schedAccess{core: cmd.Core, line: cmd.Line, write: cmd.Write, at: at})
 		}
-		if at >= boundary+w.Gap+s.Stride {
-			return nil, fmt.Errorf("model: window %d offsets exceed the stride %d", wi, s.Stride)
-		}
-		boundary += w.Gap + s.Stride
+		boundary = start + s.Stride
+	}
+	if limit = core.CycleBudget(int64(len(sched.accesses))); boundary > limit {
+		return nil, fmt.Errorf("model: schedule ends at cycle %d, past the run's cycle budget %d", boundary, limit)
 	}
 	sched.boundary = boundary
 	return sched, nil

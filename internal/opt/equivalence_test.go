@@ -87,7 +87,6 @@ func TestHillClimbSerialParallelEquivalence(t *testing.T) {
 // objective and violation summed in core order like the evaluator.
 func scalarEvaluate(p *Problem, timers []config.Timer) Evaluation {
 	ev := Evaluation{Timers: timers, PerCore: make([]analysis.CoreBound, len(timers))}
-	msiW := p.msiWeight()
 	for i, th := range timers {
 		b := analysis.CoreBound{Core: i, Theta: th, WCL: analysis.WCLCoHoRT(p.Lat, timers, i)}
 		lambda := int64(len(p.Streams[i]))
@@ -104,7 +103,7 @@ func scalarEvaluate(p *Problem, timers []config.Timer) Evaluation {
 			if p.Timed[i] {
 				ev.Objective += term
 			} else {
-				ev.Objective += msiW * term
+				ev.Objective += msiWeight * term
 			}
 		}
 		if th.Timed() && p.Gamma != nil && p.Gamma[i] > 0 && b.WCMLBound > p.Gamma[i] {

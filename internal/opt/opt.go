@@ -47,35 +47,16 @@ type Problem struct {
 	// Gamma is the per-core WCML requirement in cycles (0 = none). It is
 	// enforced only for timed cores — constraint C1.
 	Gamma []int64
-	// MSIWeight scales the contribution of non-timed (MSI) cores' Eq.-3
-	// bounds to the objective. The paper's objective sums over all cores;
-	// taken literally with all-miss MSI terms it pushes every timer toward
-	// its minimum, while ignoring MSI cores entirely lets a lone critical
-	// core starve its co-runners' average case. The zero value selects
-	// DefaultMSIWeight; MSIWeightNone disables the term.
-	MSIWeight float64
 }
 
-// DefaultMSIWeight is the MSI-core objective weight used when
-// Problem.MSIWeight is left zero: it keeps the timed cores' bounds in
-// charge while pricing the latency their timers impose on best-effort
-// cores.
-const DefaultMSIWeight = 0.01
-
-// MSIWeightNone removes non-timed cores from the objective entirely.
-const MSIWeightNone = -1
-
-// msiWeight resolves the effective weight.
-func (p *Problem) msiWeight() float64 {
-	switch {
-	case p.MSIWeight == 0:
-		return DefaultMSIWeight
-	case p.MSIWeight < 0:
-		return 0
-	default:
-		return p.MSIWeight
-	}
-}
+// msiWeight scales the contribution of non-timed (MSI) cores' Eq.-3 bounds
+// to the objective. The paper's objective sums over all cores; taken
+// literally with all-miss MSI terms it pushes every timer toward its
+// minimum, while ignoring MSI cores entirely lets a lone critical core
+// starve its co-runners' average case. This weight keeps the timed cores'
+// bounds in charge while pricing the latency their timers impose on
+// best-effort cores.
+const msiWeight = 0.01
 
 // Validate checks the problem dimensions.
 func (p *Problem) Validate() error {
@@ -151,7 +132,6 @@ func (e *Evaluation) Feasible() bool { return e.Violation == 0 }
 type compiled struct {
 	p       *Problem
 	lambdas []int64
-	msiW    float64
 	sw      int64
 	wclBase int64
 }
@@ -161,7 +141,6 @@ func (p *Problem) compile() *compiled {
 	c := &compiled{
 		p:       p,
 		lambdas: make([]int64, n),
-		msiW:    p.msiWeight(),
 		sw:      p.Lat.SlotWidth(),
 	}
 	for i := range p.Streams {
@@ -222,14 +201,14 @@ func (c *compiled) evaluateOwned(timers []config.Timer, sets []*analysis.RegimeS
 			b.WCMLBound = analysis.WCMLAllMiss(lambda, b.WCL)
 		}
 		ev.PerCore[i] = b
-		// Timed cores contribute their per-request bound fully; MSI cores
-		// contribute with the resolved MSIWeight (see the field's comment).
+		// Timed cores contribute their per-request bound fully, MSI cores
+		// at msiWeight.
 		if lambda > 0 {
 			term := float64(b.WCMLBound) / float64(lambda)
 			if p.Timed[i] {
 				ev.Objective += term
 			} else {
-				ev.Objective += c.msiW * term
+				ev.Objective += msiWeight * term
 			}
 		}
 		// C1: enforced for timed cores with a requirement.
