@@ -89,10 +89,10 @@ done
 
 echo "==> file-backed trace decode smoke (text and binary files print identical reports; a cut file fails)"
 # A radix trace under -check: the *os.File decode of both formats, release
-# rounds across three mode switches, and the invariant checker. -check
-# sweeps the 32,768-entry LLC array per transaction, so the run that reaches
-# LLC evictions (radix at scale 14) goes without it and is compared with
-# the same trace generated in memory. That file, cut inside its last core's
+# rounds across three mode switches, and the invariant checker. -check walks
+# every directory line and rebuilds its map of L1 copies after each
+# transaction, so the run that reaches LLC evictions (radix at scale 14)
+# goes without it and is compared with the same trace generated in memory. That file, cut inside its last core's
 # section, is decoded while the run is under way; the run must fail with
 # the decoder's error and print nothing.
 go build -o "$obsdir/" ./cmd/cohort-trace ./cmd/cohort-sim

@@ -72,6 +72,12 @@ func TestRunRejectsBadInput(t *testing.T) {
 	if err := os.WriteFile(tooWide, wide.Bytes(), 0o644); err != nil {
 		t.Fatal(err)
 	}
+	// A text trace naming a core far past any platform: the parser refuses
+	// it at that line instead of allocating a stream header per index.
+	hugeCore := filepath.Join(dir, "huge-core.trace")
+	if err := os.WriteFile(hugeCore, []byte("# name huge\n3000000000 2000 W 1\n0 40 R 0\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
 	tests := []struct {
 		name     string
 		args     []string
@@ -95,6 +101,7 @@ func TestRunRejectsBadInput(t *testing.T) {
 		{"truncated binary trace", []string{"-trace", truncated}, 1, "unexpected EOF"},
 		{"binary trace cut in the last core", []string{"-trace", cutLast}, 1, "core 3 access"},
 		{"trace with too many cores", []string{"-trace", tooWide}, 1, "65 cores, at most 64"},
+		{"text trace with a huge core index", []string{"-trace", hugeCore}, 1, "trace: line 2: implausible core 3000000000, at most 65536 cores"},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {

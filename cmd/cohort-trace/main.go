@@ -48,8 +48,8 @@ func generate(args []string, stdout, stderr io.Writer) error {
 		return err
 	}
 	switch {
-	case *cores < 1:
-		return cliutil.Usagef("-cores must be positive, got %d", *cores)
+	case *cores < 1 || *cores > cohort.MaxCores:
+		return cliutil.Usagef("-cores must be in [1, %d], got %d", cohort.MaxCores, *cores)
 	case *line < 1 || bits.OnesCount(uint(*line)) != 1:
 		return cliutil.Usagef("-line must be a positive power of two, got %d", *line)
 	case *scale <= 0:

@@ -22,6 +22,7 @@ func TestRunRejectsBadDimensions(t *testing.T) {
 	}{
 		{"zero cores", []string{"-cores", "0"}, "-cores"},
 		{"negative cores", []string{"-cores", "-2"}, "-cores"},
+		{"too many cores", []string{"-cores", "65"}, "-cores must be in [1, 64], got 65"},
 		{"zero line", []string{"-line", "0"}, "-line"},
 		{"line not a power of two", []string{"-line", "3"}, "-line"},
 		{"negative line", []string{"-line", "-64"}, "-line"},

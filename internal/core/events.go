@@ -75,8 +75,7 @@ func (s *System) atEvent(cycle int64, kind sim.Kind, recv int32, p0, p1 uint64) 
 
 // HandleEvent is the per-system jump table: it implements sim.Handler and
 // routes each typed event to the same logic the closure path used to invoke,
-// preserving the exact (at, seq) firing order and therefore bit-identical
-// results.
+// preserving the exact firing order and therefore bit-identical results.
 //
 //cohort:hotpath
 func (s *System) HandleEvent(now sim.Cycle, kind sim.Kind, recv int32, p0, _ uint64) {

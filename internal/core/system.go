@@ -170,8 +170,8 @@ func New(cfg *config.System, tr *trace.Trace) (*System, error) {
 	s.eng.SetHandler(s)
 	s.pinnedFn = s.pinnedInL1
 	// Steady-state queue depth: one wake/kick per core plus in-flight bus
-	// events and timer expiries — far below this; reserve once so the heap
-	// backing never reallocates mid-run.
+	// events and timer expiries — far below this; reserve once so the
+	// queue's backing never reallocates mid-run.
 	s.eng.Reserve(8*cfg.N() + 32)
 	for i := 0; i < cfg.N(); i++ {
 		lut, err := coherence.NewModeLUT(cfg.Cores[i].TimerLUT)

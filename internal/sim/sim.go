@@ -2,9 +2,12 @@
 // integer cycle timestamps. It is the substrate under the cycle-accurate
 // cache-system model in internal/core: components schedule callbacks at
 // absolute cycles and the engine executes them in (time, insertion order)
-// order, which makes every run bit-reproducible.
+// order, which makes every run bit-reproducible. The queue is a slice kept
+// sorted by due cycle, latest first: the next event is its last element,
+// and a new event's position among same-cycle events is its insertion
+// order.
 //
-// Two scheduling surfaces share one queue and one (at, seq) total order:
+// Two scheduling surfaces share one queue and one total order:
 // closure events (Schedule/ScheduleAt — the flexible path for tests and cold
 // code) and typed events (ScheduleKind/ScheduleKindAt — an enum kind, a
 // receiver index and two payload words dispatched through a Handler). Typed
@@ -16,6 +19,7 @@ package sim
 import (
 	"errors"
 	"fmt"
+	"slices"
 )
 
 // Cycle is a point in simulated time, measured in clock cycles from reset.
@@ -35,16 +39,6 @@ type Handler interface {
 	HandleEvent(now Cycle, kind Kind, recv int32, p0, p1 uint64)
 }
 
-// payload is what executes when a queue item fires: either a closure (fn
-// non-nil) or a typed event for the engine's Handler.
-type payload struct {
-	fn   Event // nil for typed events
-	p0   uint64
-	p1   uint64
-	recv int32
-	kind Kind
-}
-
 // ErrPastEvent is returned by ScheduleAt when the requested cycle precedes
 // the engine's current time.
 var ErrPastEvent = errors.New("sim: event scheduled in the past")
@@ -52,13 +46,13 @@ var ErrPastEvent = errors.New("sim: event scheduled in the past")
 // Engine is a single-threaded discrete-event simulation engine.
 // The zero value is ready to use and starts at cycle 0.
 type Engine struct {
-	now      Cycle
-	seq      uint64
-	queue    heap4[payload]
-	budget   Cycle // 0 means unlimited
-	deadline Cycle // the active RunUntil deadline while inUntil
-	inUntil  bool
-	handler  Handler
+	now       Cycle
+	scheduled uint64
+	queue     queue
+	budget    Cycle // 0 means unlimited
+	deadline  Cycle // the active RunUntil deadline while inUntil
+	inUntil   bool
+	handler   Handler
 }
 
 // New returns an engine starting at cycle 0.
@@ -68,16 +62,22 @@ func New() *Engine { return &Engine{} }
 func (e *Engine) Now() Cycle { return e.now }
 
 // Pending reports the number of events still queued.
-func (e *Engine) Pending() int { return e.queue.len() }
+func (e *Engine) Pending() int { return len(e.queue) }
 
 // Scheduled reports the number of events queued since the engine started,
-// fired or not: the sequence number of the latest one.
-func (e *Engine) Scheduled() uint64 { return e.seq }
+// fired or not.
+func (e *Engine) Scheduled() uint64 { return e.scheduled }
 
-// Reserve preallocates queue backing for at least n additional events, so a
-// caller that knows its steady-state queue depth avoids growth reallocations
-// mid-run. A non-positive n does nothing.
-func (e *Engine) Reserve(n int) { e.queue.grow(n) }
+// Reserve preallocates queue backing for at least n more events than are
+// pending, so a caller that knows its queue's peak depth never reallocates
+// it mid-run. That depth also bounds the cost of a push, which moves each
+// pending event due no later than the new one by one slot. A non-positive n
+// does nothing.
+func (e *Engine) Reserve(n int) {
+	if n > 0 {
+		e.queue = slices.Grow(e.queue, n)
+	}
+}
 
 // SetHandler installs the typed-event dispatcher. Must be set before the
 // first ScheduleKind/ScheduleKindAt call.
@@ -114,13 +114,13 @@ func (e *Engine) push(at Cycle, fn Event) {
 	if fn == nil {
 		panic("sim: nil event")
 	}
-	e.seq++
-	e.queue.push(at, e.seq, payload{fn: fn})
+	e.scheduled++
+	e.queue.push(item{at: at, fn: fn})
 }
 
-// ScheduleKind queues a typed event delay cycles from now. It shares the
-// (at, seq) order with closure events: a typed event and a closure scheduled
-// back to back fire in exactly that order.
+// ScheduleKind queues a typed event delay cycles from now. It shares one
+// order with closure events: a typed event and a closure scheduled back to
+// back for the same cycle fire in exactly that order.
 //
 //cohort:hotpath
 func (e *Engine) ScheduleKind(delay Cycle, kind Kind, recv int32, p0, p1 uint64) {
@@ -143,28 +143,34 @@ func (e *Engine) pushKind(at Cycle, kind Kind, recv int32, p0, p1 uint64) {
 	if e.handler == nil {
 		panic("sim: typed event scheduled with no Handler set")
 	}
-	e.seq++
-	e.queue.push(at, e.seq, payload{kind: kind, recv: recv, p0: p0, p1: p1})
+	e.scheduled++
+	e.queue.push(item{at: at, kind: kind, recv: recv, p0: p0, p1: p1})
 }
 
 // Step executes the earliest pending event, advancing time to its cycle.
-// It reports whether an event was executed.
+// It reports whether an event was executed. The event is consumed in place:
+// its payload is copied out and the queue truncated before it runs, since
+// whatever it schedules may reuse its slot.
 //
 //cohort:hotpath
 func (e *Engine) Step() bool {
-	if e.queue.len() == 0 {
+	n := len(e.queue) - 1
+	if n < 0 {
 		return false
 	}
-	it := e.queue.pop()
+	it := &e.queue[n]
 	if it.at < e.now {
-		// Heap discipline makes this unreachable; guard anyway.
+		// The queue's order makes this unreachable; guard anyway.
 		panic(fmt.Sprintf("sim: time moved backwards: %d < %d", it.at, e.now))
 	}
 	e.now = it.at
-	if it.v.fn != nil {
-		it.v.fn(e.now)
+	fn, kind, recv, p0, p1 := it.fn, it.kind, it.recv, it.p0, it.p1
+	it.fn = nil // let the garbage collector free a fired closure
+	e.queue = e.queue[:n]
+	if fn != nil {
+		fn(e.now)
 	} else {
-		e.handler.HandleEvent(e.now, it.v.kind, it.v.recv, it.v.p0, it.v.p1)
+		e.handler.HandleEvent(e.now, kind, recv, p0, p1)
 	}
 	return true
 }
@@ -175,7 +181,7 @@ func (e *Engine) Step() bool {
 // deadline of the RunUntil in progress, or when any queued event is due at
 // or before at. On success the skipped event would have been the next to
 // fire, so running its work now changes nothing: an event already queued
-// for the same cycle has a lower seq and fires first, which is why a tie
+// for the same cycle was queued first and fires first, which is why a tie
 // refuses. Only a handler with nothing left to do at the current cycle may
 // call it, since on success everything it does afterwards runs at at.
 //
@@ -184,7 +190,7 @@ func (e *Engine) Advance(at Cycle) bool {
 	if at < e.now || (e.budget > 0 && at > e.budget) || (e.inUntil && at > e.deadline) {
 		return false
 	}
-	if e.queue.len() > 0 && e.queue.s[0].at <= at {
+	if len(e.queue) > 0 && e.queue.next() <= at {
 		return false
 	}
 	e.now = at
@@ -195,9 +201,9 @@ func (e *Engine) Advance(at Cycle) bool {
 //
 //cohort:hotpath
 func (e *Engine) Run() error {
-	for e.queue.len() > 0 {
-		if e.budget > 0 && e.queue.s[0].at > e.budget {
-			return fmt.Errorf("%w: next event at %d, budget %d", ErrBudgetExceeded, e.queue.s[0].at, e.budget) //cohort:allow hotalloc: budget-exhaustion error path; the run stops
+	for len(e.queue) > 0 {
+		if e.budget > 0 && e.queue.next() > e.budget {
+			return fmt.Errorf("%w: next event at %d, budget %d", ErrBudgetExceeded, e.queue.next(), e.budget) //cohort:allow hotalloc: budget-exhaustion error path; the run stops
 		}
 		e.Step()
 	}
@@ -210,7 +216,7 @@ func (e *Engine) Run() error {
 //cohort:hotpath
 func (e *Engine) RunUntil(deadline Cycle) {
 	e.deadline, e.inUntil = deadline, true
-	for e.queue.len() > 0 && e.queue.s[0].at <= deadline {
+	for len(e.queue) > 0 && e.queue.next() <= deadline {
 		e.Step()
 	}
 	e.inUntil = false

@@ -101,6 +101,17 @@ func TestZeroDelayRunsInCurrentCycle(t *testing.T) {
 	}
 }
 
+// A fired closure's slot is cleared, so the queue's backing does not keep
+// the closure, and whatever it captured, alive.
+func TestStepReleasesFiredClosure(t *testing.T) {
+	e := New()
+	e.Schedule(1, func(Cycle) {})
+	e.Step()
+	if e.queue[:1][0].fn != nil {
+		t.Fatal("the queue's backing still holds the fired closure")
+	}
+}
+
 func TestScheduleAtPast(t *testing.T) {
 	e := New()
 	e.Schedule(10, func(Cycle) {})
@@ -163,19 +174,19 @@ func TestTypedEventWithoutHandlerPanics(t *testing.T) {
 func TestReserve(t *testing.T) {
 	e := New()
 	e.Reserve(64)
-	reserved := cap(e.queue.s)
+	reserved := cap(e.queue)
 	if reserved < 64 {
 		t.Fatalf("Reserve(64): capacity %d", reserved)
 	}
 	for i := 0; i < 64; i++ {
 		e.Schedule(Cycle(i), func(Cycle) {})
 	}
-	if got := cap(e.queue.s); got != reserved {
+	if got := cap(e.queue); got != reserved {
 		t.Fatalf("64 pushes after Reserve(64) grew the queue: capacity %d -> %d", reserved, got)
 	}
 	for _, n := range []int{0, -1} {
 		e.Reserve(n)
-		if got := cap(e.queue.s); got != reserved {
+		if got := cap(e.queue); got != reserved {
 			t.Fatalf("Reserve(%d) changed capacity %d -> %d", n, reserved, got)
 		}
 	}

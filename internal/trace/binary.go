@@ -186,7 +186,7 @@ func DecodeBinary(r io.Reader) (*Decoding, error) {
 	if err != nil {
 		return nil, fmt.Errorf("trace: core count: %w", err)
 	}
-	if nCores > 1<<16 {
+	if nCores > maxCores {
 		return nil, fmt.Errorf("trace: implausible core count %d", nCores)
 	}
 	d := &Decoding{

@@ -104,7 +104,7 @@ func parseBinarySequential(r io.Reader) (*Trace, error) {
 	if err != nil {
 		return nil, fmt.Errorf("trace: core count: %w", err)
 	}
-	if nCores > 1<<16 {
+	if nCores > maxCores {
 		return nil, fmt.Errorf("trace: implausible core count %d", nCores)
 	}
 	t := &Trace{Name: name, Streams: make([]Stream, nCores)}

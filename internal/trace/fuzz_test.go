@@ -96,6 +96,36 @@ func FuzzParseBinary(f *testing.F) {
 	})
 }
 
+func FuzzParse(f *testing.F) {
+	f.Add("# name x\n3000000000 2000 W 1\n0 40 R 0\n") // core index far past any platform
+	f.Add("# name two\n0 1000 R 0\n1 1040 W 3\n0 fc0 R 120\n")
+	f.Add("0 1000 R -4\n")  // negative gap
+	f.Add("0 1000 X 0\n")   // bad kind
+	f.Add("0 1000 R 0 9\n") // five fields
+
+	f.Fuzz(func(t *testing.T, in string) {
+		tr, err := Parse(strings.NewReader(in))
+		if err != nil {
+			return
+		}
+		if tr.NumCores() > maxCores {
+			t.Fatalf("parsed %d cores, at most %d", tr.NumCores(), maxCores)
+		}
+		// A parsed trace round-trips through the text codec.
+		var out bytes.Buffer
+		if err := tr.Write(&out); err != nil {
+			t.Fatalf("re-encode: %v", err)
+		}
+		tr2, err := Parse(&out)
+		if err != nil {
+			t.Fatalf("re-parse: %v", err)
+		}
+		if !reflect.DeepEqual(tr, tr2) {
+			t.Fatalf("round trip changed the trace: %+v, then %+v", tr, tr2)
+		}
+	})
+}
+
 func FuzzParseDinero(f *testing.F) {
 	f.Add("0 1000\n1 1008\n2 2000\n")
 	f.Add("# comment\n-trailer\n\n0 0x1000 extra fields 99\n")

@@ -3,6 +3,7 @@ package trace
 import (
 	"fmt"
 	"sort"
+	"strings"
 )
 
 // Profile parameterizes the synthetic workload generator. Each profile is
@@ -246,15 +247,16 @@ func Summarize(t *Trace, lineBytes int) Summary {
 
 // String renders a short human-readable summary.
 func (s Summary) String() string {
-	out := fmt.Sprintf("trace %s: %d cores, %d distinct lines, %d lines shared by all\n",
+	var out strings.Builder
+	fmt.Fprintf(&out, "trace %s: %d cores, %d distinct lines, %d lines shared by all\n",
 		s.Name, len(s.PerCore), s.DistinctLines, s.SharedToAll)
 	for i, cs := range s.PerCore {
-		out += fmt.Sprintf("  core %d: %6d accesses, %5.1f%% writes, %5.1f%% shared, %d unique lines, mean gap %.2f\n",
+		fmt.Fprintf(&out, "  core %d: %6d accesses, %5.1f%% writes, %5.1f%% shared, %d unique lines, mean gap %.2f\n",
 			i, cs.Accesses,
 			pct(cs.Writes, cs.Accesses), pct(cs.SharedRefs, cs.Accesses),
 			cs.UniqueLines, float64(cs.TotalGap)/float64(max(1, cs.Accesses)))
 	}
-	return out
+	return out.String()
 }
 
 func pct(a, b int) float64 {

@@ -73,6 +73,12 @@ func HashStream(h hash.Hash, s Stream) {
 	h.Write(buf[:n])
 }
 
+// maxCores is the most cores either codec accepts. It keeps a corrupt or
+// hostile input from allocating stream headers without bound; a platform
+// wider than the simulator's sharer bitmask is rejected later, when it is
+// built.
+const maxCores = 1 << 16
+
 // Trace is a complete multi-core workload: one stream per core.
 type Trace struct {
 	// Name labels the workload (benchmark profile name).
@@ -141,6 +147,9 @@ func Parse(r io.Reader) (*Trace, error) {
 		core, err := strconv.Atoi(fields[0])
 		if err != nil || core < 0 {
 			return nil, fmt.Errorf("trace: line %d: bad core %q", lineNo, fields[0])
+		}
+		if core >= maxCores {
+			return nil, fmt.Errorf("trace: line %d: implausible core %d, at most %d cores", lineNo, core, maxCores)
 		}
 		addr, err := strconv.ParseUint(fields[1], 16, 64)
 		if err != nil {

@@ -2,6 +2,7 @@ package trace
 
 import (
 	"bytes"
+	"runtime"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -54,10 +55,11 @@ func TestReadRejectsMalformed(t *testing.T) {
 		"0 ff X 0",        // bad kind
 		"0 ff R -5",       // negative gap
 		"0 ff R 0 extras", // too many fields
+		"65536 ff R 0",    // more cores than either codec accepts
 	}
 	for _, line := range bad {
-		if _, err := Parse(strings.NewReader(line + "\n")); err == nil {
-			t.Errorf("line %q: expected error", line)
+		if _, err := Parse(strings.NewReader(line + "\n")); err == nil || !strings.Contains(err.Error(), "line 1:") {
+			t.Errorf("line %q: got error %v, want one naming line 1", line, err)
 		}
 	}
 }
@@ -338,6 +340,28 @@ func TestSummaryString(t *testing.T) {
 	out := s.String()
 	if !strings.Contains(out, "fft") || !strings.Contains(out, "core 0") {
 		t.Fatalf("summary missing fields:\n%s", out)
+	}
+
+	s = Summary{Name: "demo", DistinctLines: 7, SharedToAll: 2, PerCore: []CoreSummary{
+		{Accesses: 10, Writes: 3, SharedRefs: 4, TotalGap: 25, UniqueLines: 5},
+		{},
+	}}
+	want := "trace demo: 2 cores, 7 distinct lines, 2 lines shared by all\n" +
+		"  core 0:     10 accesses,  30.0% writes,  40.0% shared, 5 unique lines, mean gap 2.50\n" +
+		"  core 1:      0 accesses,   0.0% writes,   0.0% shared, 0 unique lines, mean gap 0.00\n"
+	if got := s.String(); got != want {
+		t.Fatalf("summary text:\n%s\nwant:\n%s", got, want)
+	}
+
+	// The text grows in proportion to the core count, and so must the
+	// bytes allocated to build it.
+	wide := Summary{Name: "wide", PerCore: make([]CoreSummary, 3000)}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	out = wide.String()
+	runtime.ReadMemStats(&after)
+	if alloc := after.TotalAlloc - before.TotalAlloc; alloc > 8*uint64(len(out)) {
+		t.Fatalf("a %d-byte summary of %d cores allocated %d bytes", len(out), len(wide.PerCore), alloc)
 	}
 }
 
