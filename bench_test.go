@@ -15,7 +15,6 @@ import (
 
 	"cohort"
 	"cohort/internal/experiments"
-	"cohort/internal/obs"
 )
 
 // benchOptions sizes the experiments for benchmarking: large enough to be
@@ -226,44 +225,6 @@ func BenchmarkSimulatorThroughputObserved(b *testing.B) {
 		if snap := reg.Snapshot(); len(snap) == 0 {
 			b.Fatal("empty snapshot")
 		}
-	}
-	b.ReportMetric(float64(cycles)/b.Elapsed().Seconds(), "cycles/s")
-}
-
-// BenchmarkSimulatorThroughputProgress is the same run with only a live
-// run-tracker handle attached (cohort-bench -listen): the hot path counts
-// completions in plain ints and flushes to the handle's atomics every 1024
-// events, so the delta against BenchmarkSimulatorThroughput — and in
-// particular the allocs/op delta, which must be zero — is the whole cost
-// of live progress tracking.
-func BenchmarkSimulatorThroughputProgress(b *testing.B) {
-	p, err := cohort.ProfileByName("fft")
-	if err != nil {
-		b.Fatal(err)
-	}
-	tr := p.Scaled(0.1).Generate(4, 64, 42)
-	cfg, err := cohort.NewCoHoRT(4, 1, []cohort.Timer{300, 100, 50, cohort.TimerMSI})
-	if err != nil {
-		b.Fatal(err)
-	}
-	tracker := obs.NewRunTracker(obs.WallClock{})
-	rh := tracker.Register("bench", "progress")
-	b.ReportAllocs()
-	b.ResetTimer()
-	var cycles int64
-	for i := 0; i < b.N; i++ {
-		sys, err := cohort.NewSystem(cfg, tr)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if err := sys.SetProgress(rh); err != nil {
-			b.Fatal(err)
-		}
-		run, err := sys.Run()
-		if err != nil {
-			b.Fatal(err)
-		}
-		cycles += run.Cycles
 	}
 	b.ReportMetric(float64(cycles)/b.Elapsed().Seconds(), "cycles/s")
 }

@@ -116,29 +116,14 @@ if [ "$status" != 1 ] || [ -s "$obsdir/radix14.cut.out" ] || ! grep -q 'cohort-s
   exit 1
 fi
 
-echo "==> live debug-server smoke (/healthz, /metrics, /runs, pprof mid-run)"
+echo "==> paper-scale determinism (fig5a,attribution at -scale 1 -cap 0: -j 1 and -j 2 print identical tables)"
+# The one paper-length run with more than one worker in either gate: the
+# serial and the parallel run must print the same bytes.
 go build -o "$obsdir/cohort-bench" ./cmd/cohort-bench
-"$obsdir/cohort-bench" -run fig5a,attribution -j 2 -scale 1 -cap 0 -pop 24 -gens 24 \
-  -listen 127.0.0.1:8723 >/dev/null &
-benchpid=$!
-up=0
-i=0
-while [ "$i" -lt 100 ]; do
-  if curl -fsS http://127.0.0.1:8723/healthz 2>/dev/null | grep -q ok; then up=1; break; fi
-  i=$((i + 1)); sleep 0.1
-done
-if [ "$up" != 1 ]; then
-  echo "    FAIL: debug server never answered /healthz"
-  kill "$benchpid" 2>/dev/null || true
-  exit 1
-fi
-curl -fsS http://127.0.0.1:8723/metrics > "$obsdir/metrics.prom"
-grep -q '^cohort_run_events_total' "$obsdir/metrics.prom"
-curl -fsS http://127.0.0.1:8723/runs > "$obsdir/runs.json"
-grep -q '"tool": "cohort-bench"' "$obsdir/runs.json"
-curl -fsS "http://127.0.0.1:8723/debug/pprof/goroutine?debug=1" > "$obsdir/goroutine.pprof"
-test -s "$obsdir/goroutine.pprof"
-wait "$benchpid"
+paper="-run fig5a,attribution -scale 1 -cap 0 -pop 24 -gens 24"
+"$obsdir/cohort-bench" $paper -j 1 > "$obsdir/paper.j1.out"
+"$obsdir/cohort-bench" $paper -j 2 > "$obsdir/paper.j2.out"
+diff "$obsdir/paper.j1.out" "$obsdir/paper.j2.out"
 
 echo "==> cohort-model -smoke (exhaustive closure at depth 4)"
 go run ./cmd/cohort-model -smoke -depth 4 -q -out "$obsdir/counterexample.txt"

@@ -53,10 +53,8 @@ func analyze(args []string, stdout, stderr io.Writer) error {
 	switch {
 	case *cores < 1 || *cores > cohort.MaxCores:
 		return cliutil.Usagef("-cores must be in [1, %d], got %d", cohort.MaxCores, *cores)
-	case !(*scale > 0):
-		return cliutil.Usagef("-scale must be positive, got %v", *scale)
-	case *levels < 1:
-		return cliutil.Usagef("-levels must be at least 1, got %d", *levels)
+	case *levels < 1 || *levels > cohort.MaxLevels:
+		return cliutil.Usagef("-levels must be in [1, %d], got %d", cohort.MaxLevels, *levels)
 	}
 	ths, err := cliutil.ParseTimers(*timers, *cores)
 	if err != nil {
@@ -71,6 +69,9 @@ func analyze(args []string, stdout, stderr io.Writer) error {
 	p, err := cohort.ProfileByName(*bench)
 	if err != nil {
 		return cliutil.Usagef("-bench: %v", err)
+	}
+	if err := cohort.CheckScale(*scale, 64, p); err != nil {
+		return cliutil.Usagef("-scale: %v", err)
 	}
 	tr := p.Scaled(*scale).Generate(*cores, 64, *seed)
 	cfg, err := cohort.NewCoHoRT(*cores, *levels, ths)

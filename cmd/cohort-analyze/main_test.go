@@ -22,6 +22,11 @@ func TestRunRejectsBadFlags(t *testing.T) {
 		{"zero levels", []string{"-levels", "0"}, "-levels"},
 		{"zero scale", []string{"-scale", "0"}, "-scale"},
 		{"negative scale", []string{"-scale", "-1"}, "-scale"},
+		{"NaN scale", []string{"-scale", "NaN"}, "-scale: scale NaN is not finite and positive"},
+		{"infinite scale", []string{"-scale", "+Inf"}, "-scale: scale +Inf is not finite and positive"},
+		{"overflowing scale", []string{"-scale", "1e30"}, "-scale: scale 1e+30 overflows fft's access count"},
+		{"levels above the maximum", []string{"-levels", "16"}, "-levels must be in [1, 15], got 16"},
+		{"huge levels", []string{"-levels", "1000000000"}, "-levels must be in [1, 15]"},
 		{"unparsable timer", []string{"-timers", "x"}, "-timers: bad timer"},
 		{"timer out of range", []string{"-timers", "300,20,20,70000"}, "-timers: timer 70000"},
 		{"timer count", []string{"-timers", "300,20"}, "-timers has 2 values for 4 cores"},

@@ -68,8 +68,6 @@ func run(args []string, stdout, stderr io.Writer, clk obs.Clock) error {
 	o := experiments.DefaultOptions()
 	// Reject values no experiment can use before any work.
 	switch {
-	case !(*scale > 0):
-		return cliutil.Usagef("-scale must be positive, got %v", *scale)
 	case *cap < 0:
 		return cliutil.Usagef("-cap must be non-negative (0 = none), got %d", *cap)
 	case *pop <= o.GA.Elite:
@@ -105,6 +103,17 @@ func run(args []string, stdout, stderr io.Writer, clk obs.Clock) error {
 			o.Benchmarks = append(o.Benchmarks, b)
 		}
 	}
+	// The scale must suit every profile the run may generate: the -benches
+	// subset (all by default) and -bench.
+	var used []cohort.Profile
+	for _, p := range cohort.Profiles() {
+		if p.Name == *bench || len(o.Benchmarks) == 0 || slices.Contains(o.Benchmarks, p.Name) {
+			used = append(used, p)
+		}
+	}
+	if err := cohort.CheckScale(*scale, 64, used...); err != nil {
+		return cliutil.Usagef("-scale: %v", err)
+	}
 	// selected lists the chosen experiments in canonical (known) order, so
 	// "-run fig6a,fig5a" and "-run fig5a,fig6a" share a config key.
 	var selected []string
@@ -114,11 +123,7 @@ func run(args []string, stdout, stderr io.Writer, clk obs.Clock) error {
 		}
 	}
 
-	log, err := cu.Logger(stderr, clk)
-	if err != nil {
-		return cliutil.Usagef("-log-level: %v", err)
-	}
-	stopProfiles, err := cu.StartProfiles(log)
+	stopProfiles, err := cu.StartProfiles(stderr)
 	if err != nil {
 		return err
 	}
@@ -143,31 +148,6 @@ func run(args []string, stdout, stderr io.Writer, clk obs.Clock) error {
 		o.Recorder = rec
 	}
 
-	// Live observability: the tracker's handle feeds the pull-sampled /runs
-	// and /metrics endpoints; the experiment harness bumps it through the
-	// package-level progress hook. All of it is outside canonical output —
-	// tables, manifests and fingerprints are byte-identical with or without
-	// -listen.
-	tracker := obs.NewRunTracker(clk)
-	rh := tracker.Register("cohort-bench", *runList)
-	rh.SetCellsTotal(int64(len(selected)))
-	defer func() {
-		rh.Finish()
-		tracker.Unregister(rh)
-	}()
-	prev := experiments.AttachProgress(rh)
-	defer experiments.AttachProgress(prev)
-	if cu.Listen != "" && o.Metrics == nil {
-		// Serve experiment metrics even without -out-dir; figure publishes go
-		// through Registry.Sync, so live scrapes are race-free.
-		o.Metrics = obs.NewRegistry()
-	}
-	srv, err := cu.StartServer(o.Metrics, tracker, log)
-	if err != nil {
-		return err
-	}
-	defer srv.Close()
-
 	emit := func(t *stats.Table) {
 		if *md {
 			fmt.Fprintln(stdout, t.Markdown())
@@ -176,8 +156,7 @@ func run(args []string, stdout, stderr io.Writer, clk obs.Clock) error {
 		}
 	}
 
-	// cells lists every experiment runner in output order. Driving them from
-	// one table keeps the progress accounting (AddCellsDone) in one place.
+	// cells lists every experiment runner in output order.
 	type cell struct {
 		key string
 		run func() error
@@ -306,7 +285,6 @@ func run(args []string, stdout, stderr io.Writer, clk obs.Clock) error {
 		if err := c.run(); err != nil {
 			return err
 		}
-		rh.AddCellsDone(1)
 	}
 	engine := experiments.MemoStats()
 	if *memoStats {
@@ -325,7 +303,7 @@ func run(args []string, stdout, stderr io.Writer, clk obs.Clock) error {
 		_, replays, accesses := analysis.PlanWork()
 		sreg.Gauge("oracle_replays").Set(replays)
 		sreg.Gauge("oracle_accesses_replayed").Set(accesses)
-		log.Infof("cohort-bench memo:\n%s", strings.TrimSuffix(sreg.Snapshot().String(), "\n"))
+		fmt.Fprintf(stderr, "cohort-bench memo:\n%s", sreg.Snapshot())
 	}
 	if man != nil {
 		refs, err := experiments.TraceRefs(o)
@@ -355,7 +333,7 @@ func run(args []string, stdout, stderr io.Writer, clk obs.Clock) error {
 		if err := tf.Close(); err != nil {
 			return err
 		}
-		log.Infof("cohort-bench: wrote %s and %s", path, tracePath)
+		fmt.Fprintf(stderr, "cohort-bench: wrote %s and %s\n", path, tracePath)
 	}
 	return nil
 }

@@ -92,7 +92,8 @@ func TestRunRejectsUnknownExperiment(t *testing.T) {
 // TestRunValidatesFlags drives main's exit path with flag values no
 // experiment can use: each exits 2 before any work, names the flag on
 // stderr and writes nothing to stdout. -cap 0 means no cap and runs, and
-// benchmark names are trimmed.
+// benchmark names are trimmed. The removed live-observability flags
+// (-listen, -log-level, -log-json) fail as any undefined flag does.
 func TestRunValidatesFlags(t *testing.T) {
 	tests := []struct {
 		name    string
@@ -103,6 +104,9 @@ func TestRunValidatesFlags(t *testing.T) {
 		{"zero scale", []string{"-scale", "0"}, 2, "-scale"},
 		{"negative scale", []string{"-scale", "-1"}, 2, "-scale"},
 		{"NaN scale", []string{"-scale", "NaN"}, 2, "-scale"},
+		{"infinite scale", []string{"-scale", "+Inf"}, 2, "-scale: scale +Inf is not finite and positive"},
+		{"overflowing scale", []string{"-scale", "1e30"}, 2, "-scale: scale 1e+30 overflows"},
+		{"footprint past its region", []string{"-scale", "2000"}, 2, "-scale: scale 2000 gives ocean 1280000 private lines"},
 		{"negative cap", []string{"-cap", "-5"}, 2, "-cap"},
 		{"population of one", []string{"-pop", "1"}, 2, "-pop"},
 		{"population within the elite", []string{"-pop", "2"}, 2, "-pop"},
@@ -113,6 +117,8 @@ func TestRunValidatesFlags(t *testing.T) {
 		{"unknown benchmark", []string{"-bench", "nope"}, 2, `-bench: unknown benchmark "nope"`},
 		{"spaced benchmark list", []string{"-benches", "fft, lu", "-bench", " lu"}, 0, ""},
 		{"bad log level", []string{"-log-level", "loud"}, 2, "-log-level"},
+		{"removed log-level flag", []string{"-log-level", "off"}, 2, "-log-level"},
+		{"removed listen flag", []string{"-listen", "256.0.0.1:0"}, 2, "-listen"},
 		{"undefined flag", []string{"-nosuchflag"}, 2, "-nosuchflag"},
 		{"no cap", []string{"-cap", "0"}, 0, ""},
 	}
@@ -137,16 +143,25 @@ func TestRunValidatesFlags(t *testing.T) {
 
 // TestManifestAndTraceWritten drives the -out-dir path end to end: the run
 // must leave a schema-valid manifest and a Chrome trace in the directory,
-// and the manifest's metrics snapshot must be byte-identical between -j 1
-// and -j 8 (the config key is shared, only the file's j suffix differs).
+// name both in its one stderr line, and the manifest's metrics snapshot
+// must be byte-identical between -j 1 and -j 8 (the config key is shared,
+// only the file's j suffix differs).
 func TestManifestAndTraceWritten(t *testing.T) {
 	dir := t.TempDir()
 	runOnce := func(jobs string) *obs.Manifest {
 		t.Helper()
 		experiments.ResetMemo()
-		var out bytes.Buffer
-		if err := run(quickArgs("-run", "fig5a", "-j", jobs, "-out-dir", dir), &out, io.Discard, testClock); err != nil {
+		var out, stderr bytes.Buffer
+		if err := run(quickArgs("-run", "fig5a", "-j", jobs, "-out-dir", dir), &out, &stderr, testClock); err != nil {
 			t.Fatalf("run -j %s: %v", jobs, err)
+		}
+		paths, err := filepath.Glob(filepath.Join(dir, "*-j"+jobs+".manifest.json"))
+		if err != nil || len(paths) != 1 {
+			t.Fatalf("manifests for -j %s: %v (err %v)", jobs, paths, err)
+		}
+		trace := strings.TrimSuffix(paths[0], ".manifest.json") + ".trace.json"
+		if want := "cohort-bench: wrote " + paths[0] + " and " + trace + "\n"; stderr.String() != want {
+			t.Errorf("-j %s stderr:\n%s\nwant:\n%s", jobs, stderr.String(), want)
 		}
 		ms, err := obs.LoadDir(dir)
 		if err != nil {
@@ -249,19 +264,5 @@ func TestAttributionExperiment(t *testing.T) {
 		if sum := r.Arbitration + r.TimerStall + r.Transfer + r.DRAM + r.HitCycles; sum != r.TotalLatency {
 			t.Fatalf("row %+v violates the decomposition identity", r)
 		}
-	}
-}
-
-// TestListenServesDuringRun starts a run with -listen on an ephemeral port
-// and scrapes all four endpoint families while it executes. The bound
-// address is discovered by polling the tracker-free startup log line.
-func TestListenServesDuringRun(t *testing.T) {
-	// The in-process variant can't easily scrape mid-run (run() blocks and
-	// closes the server on return); the obs package tests cover the server
-	// itself and CI scrapes a live cohort-bench run. Here we only pin that
-	// -listen on a bad address fails fast instead of being ignored.
-	var out bytes.Buffer
-	if err := run(quickArgs("-run", "table1", "-listen", "256.0.0.1:0"), &out, io.Discard, testClock); err == nil {
-		t.Fatal("bad -listen address accepted")
 	}
 }

@@ -63,8 +63,6 @@ func optimize(args []string, stdout, stderr io.Writer) error {
 	switch {
 	case *cores < 1 || *cores > cohort.MaxCores:
 		return cliutil.Usagef("-cores must be in [1, %d], got %d", cohort.MaxCores, *cores)
-	case !(*scale > 0):
-		return cliutil.Usagef("-scale must be positive, got %v", *scale)
 	case *pop <= gc.Elite:
 		return cliutil.Usagef("-pop must exceed the GA's %d elite individuals, got %d", gc.Elite, *pop)
 	case *gens < 1:
@@ -82,13 +80,12 @@ func optimize(args []string, stdout, stderr io.Writer) error {
 	if err != nil {
 		return cliutil.Usagef("-bench: %v", err)
 	}
-
-	clk := obs.Clock(obs.WallClock{})
-	log, err := cu.Logger(stderr, clk)
-	if err != nil {
-		return cliutil.Usagef("-log-level: %v", err)
+	if err := cohort.CheckScale(*scale, 64, p); err != nil {
+		return cliutil.Usagef("-scale: %v", err)
 	}
-	stopProfiles, err := cu.StartProfiles(log)
+
+	clk := obs.WallClock{}
+	stopProfiles, err := cu.StartProfiles(stderr)
 	if err != nil {
 		return err
 	}
@@ -114,28 +111,10 @@ func optimize(args []string, stdout, stderr io.Writer) error {
 		gc.Recorder = obs.NewRecorder()
 	}
 
-	// Live observability: the GA publishes generation progress and memo/replay
-	// counters to the tracker handle; the debug server pull-samples them.
-	// None of it feeds the canonical result or manifest.
-	tracker := obs.NewRunTracker(clk)
-	rh := tracker.Register("cohort-opt", *bench)
-	gc.Progress = rh
-	if cu.Listen != "" && gc.Metrics == nil {
-		// Serve GA metrics even without -out-dir; Optimize publishes them
-		// under Registry.Sync, so live scrapes are race-free.
-		gc.Metrics = obs.NewRegistry()
-	}
-	srv, err := cu.StartServer(gc.Metrics, tracker, log)
-	if err != nil {
-		return err
-	}
-	defer srv.Close()
-
 	res, err := cohort.Optimize(prob, gc)
 	if err != nil {
 		return err
 	}
-	rh.Finish()
 
 	if man != nil {
 		// The config key covers every parameter that determines the Result —
@@ -174,7 +153,7 @@ func optimize(args []string, stdout, stderr io.Writer) error {
 		if err := tf.Close(); err != nil {
 			return err
 		}
-		log.Infof("cohort-opt: wrote %s and %s", path, tracePath)
+		fmt.Fprintf(stderr, "cohort-opt: wrote %s and %s\n", path, tracePath)
 	}
 
 	fmt.Fprintf(stdout, "workload %s: %d oracle evaluations, feasible %v\n",

@@ -2,8 +2,12 @@ package main
 
 import (
 	"bytes"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
+
+	"cohort/internal/obs"
 )
 
 // TestRunRejectsBadFlags drives the CLI with flag values no optimization
@@ -20,6 +24,8 @@ func TestRunRejectsBadFlags(t *testing.T) {
 		{"zero scale", []string{"-scale", "0"}, "-scale"},
 		{"negative scale", []string{"-scale", "-1"}, "-scale"},
 		{"NaN scale", []string{"-scale", "NaN"}, "-scale"},
+		{"infinite scale", []string{"-scale", "+Inf"}, "-scale: scale +Inf is not finite and positive"},
+		{"overflowing scale", []string{"-scale", "1e30"}, "-scale: scale 1e+30 overflows fft's access count"},
 		{"population of one", []string{"-pop", "1"}, "-pop"},
 		{"population within the elite", []string{"-pop", "2"}, "-pop"},
 		{"zero generations", []string{"-gens", "0"}, "-gens"},
@@ -31,6 +37,7 @@ func TestRunRejectsBadFlags(t *testing.T) {
 		{"unknown benchmark", []string{"-bench", "nosuch"}, "-bench"},
 		{"bad log level", []string{"-log-level", "loud"}, "-log-level"},
 		{"undefined flag", []string{"-nosuchflag"}, "-nosuchflag"},
+		{"removed log-json flag", []string{"-log-json"}, "-log-json"},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
@@ -59,5 +66,43 @@ func TestRunReportsOptimum(t *testing.T) {
 	out := stdout.String()
 	if !strings.HasPrefix(out, "workload radix: ") || strings.Count(out, "θ_is") != 2 {
 		t.Fatalf("unexpected report:\n%s", out)
+	}
+}
+
+// TestOutDirWritesManifestAndTrace runs one optimization plain and with
+// -out-dir: stdout must not change, stderr must hold exactly the one line
+// naming the manifest and the Chrome trace, and both files must load.
+func TestOutDirWritesManifestAndTrace(t *testing.T) {
+	args := []string{"-bench", "fft", "-scale", "0.01", "-pop", "6", "-gens", "3", "-j", "1"}
+	var plain, plainErr bytes.Buffer
+	if got := run(args, &plain, &plainErr); got != 0 || plainErr.Len() != 0 {
+		t.Fatalf("plain run: exit %d; stderr:\n%s", got, plainErr.String())
+	}
+	dir := t.TempDir()
+	var stdout, stderr bytes.Buffer
+	if got := run(append(args, "-out-dir", dir), &stdout, &stderr); got != 0 {
+		t.Fatalf("exit %d; stderr:\n%s", got, stderr.String())
+	}
+	if stdout.String() != plain.String() {
+		t.Errorf("-out-dir changed stdout:\n--- plain\n%s--- with -out-dir\n%s", plain.String(), stdout.String())
+	}
+	ms, err := obs.LoadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	paths, err := filepath.Glob(filepath.Join(dir, "*.manifest.json"))
+	if err != nil || len(ms) != 1 || len(paths) != 1 || ms[0].Tool != "cohort-opt" {
+		t.Fatalf("want one cohort-opt manifest, got %d (%v, err %v)", len(ms), paths, err)
+	}
+	trace := strings.TrimSuffix(paths[0], ".manifest.json") + ".trace.json"
+	if want := "cohort-opt: wrote " + paths[0] + " and " + trace + "\n"; stderr.String() != want {
+		t.Errorf("stderr:\n%s\nwant:\n%s", stderr.String(), want)
+	}
+	b, err := os.ReadFile(trace)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(string(b), `"traceEvents"`) || !strings.Contains(string(b), "generation 0") {
+		t.Errorf("chrome trace missing its generation spans:\n%.300s", b)
 	}
 }

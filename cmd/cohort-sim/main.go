@@ -73,26 +73,32 @@ func simulate(args []string, stdout, stderr io.Writer) (err error) {
 	switch {
 	case *cores < 1 || *cores > cohort.MaxCores:
 		return cliutil.Usagef("-cores must be in [1, %d], got %d", cohort.MaxCores, *cores)
-	case *scale <= 0:
-		return cliutil.Usagef("-scale must be positive, got %v", *scale)
-	case *levels < 1:
-		return cliutil.Usagef("-levels must be at least 1, got %d", *levels)
+	case *levels < 1 || *levels > cohort.MaxLevels:
+		return cliutil.Usagef("-levels must be in [1, %d], got %d", cohort.MaxLevels, *levels)
 	case *crit != "" && *system != "pendulum":
 		return cliutil.Usagef("-crit applies only to -system pendulum, not %q", *system)
 	}
-
-	clk := obs.Clock(obs.WallClock{})
-	log, err := cu.Logger(stderr, clk)
-	if err != nil {
-		return cliutil.Usage(err)
+	// A trace file or Dinero files replace the generated workload, and with
+	// it -bench and the footprint half of the -scale check.
+	var profiles []cohort.Profile
+	if *traceFile == "" && *dinFiles == "" {
+		p, err := cohort.ProfileByName(*bench)
+		if err != nil {
+			return cliutil.Usage(err)
+		}
+		profiles = append(profiles, p)
 	}
-	stopProfiles, err := cu.StartProfiles(log)
+	if err := cohort.CheckScale(*scale, 64, profiles...); err != nil {
+		return cliutil.Usagef("-scale: %v", err)
+	}
+
+	stopProfiles, err := cu.StartProfiles(stderr)
 	if err != nil {
 		return err
 	}
 	defer stopProfiles()
 
-	w, err := loadTrace(*traceFile, *dinFiles, *bench, *cores, *scale, *seed)
+	w, err := loadTrace(*traceFile, *dinFiles, profiles, *cores, *scale, *seed)
 	if err != nil {
 		return err
 	}
@@ -179,22 +185,6 @@ func simulate(args []string, stdout, stderr io.Writer) (err error) {
 			}
 		}
 	}
-
-	// Live observability. The debug server gets the tracker but NOT the
-	// manifest registry: SetMetrics registers closures that read live
-	// simulator state, so scraping that registry mid-run would race the
-	// single-threaded simulation. The tracker's atomic counters are the
-	// race-free live surface.
-	tracker := obs.NewRunTracker(clk)
-	rh := tracker.Register("cohort-sim", tr.Name)
-	if err := sys.SetProgress(rh); err != nil {
-		return err
-	}
-	srv, err := cu.StartServer(nil, tracker, log)
-	if err != nil {
-		return err
-	}
-	defer srv.Close()
 	if *chromeFile != "" {
 		rec = obs.NewRecorder()
 		if err := sys.SetRecorder(rec); err != nil {
@@ -239,7 +229,6 @@ func simulate(args []string, stdout, stderr io.Writer) (err error) {
 	if err != nil {
 		return err
 	}
-	rh.Finish()
 	if err := sys.CheckCoherence(); err != nil {
 		return fmt.Errorf("coherence check failed: %w", err)
 	}
@@ -273,7 +262,7 @@ func simulate(args []string, stdout, stderr io.Writer) (err error) {
 		if err := closeVCD(); err != nil {
 			return err
 		}
-		log.Infof("wrote waveform to %s", *vcdFile)
+		fmt.Fprintf(stderr, "wrote waveform to %s\n", *vcdFile)
 	}
 	if rec != nil {
 		f, err := os.Create(*chromeFile)
@@ -287,9 +276,10 @@ func simulate(args []string, stdout, stderr io.Writer) (err error) {
 		if err := f.Close(); err != nil {
 			return err
 		}
-		log.Infof("wrote chrome trace to %s (load at ui.perfetto.dev)", *chromeFile)
+		fmt.Fprintf(stderr, "wrote chrome trace to %s (load at ui.perfetto.dev)\n", *chromeFile)
 	}
 	if reg != nil {
+		clk := obs.WallClock{}
 		man := obs.NewManifest("cohort-sim", clk)
 		man.Args = args
 		// The key covers the full platform description and the workload
@@ -309,7 +299,7 @@ func simulate(args []string, stdout, stderr io.Writer) (err error) {
 		if err != nil {
 			return err
 		}
-		log.Infof("wrote manifest to %s", path)
+		fmt.Fprintf(stderr, "wrote manifest to %s\n", path)
 	}
 	return nil
 }
@@ -341,7 +331,9 @@ func (w *workload) close() error {
 	return err
 }
 
-func loadTrace(path, din, bench string, cores int, scale float64, seed uint64) (*workload, error) {
+// loadTrace reads the workload from Dinero files or a trace file, or else
+// generates it from the one profile in profiles.
+func loadTrace(path, din string, profiles []cohort.Profile, cores int, scale float64, seed uint64) (*workload, error) {
 	if din != "" {
 		var streams []cohort.Stream
 		for _, f := range strings.Split(din, ",") {
@@ -381,11 +373,7 @@ func loadTrace(path, din, bench string, cores int, scale float64, seed uint64) (
 		}
 		return &workload{tr: tr}, nil
 	}
-	p, err := cohort.ProfileByName(bench)
-	if err != nil {
-		return nil, cliutil.Usage(err)
-	}
-	return &workload{tr: p.Scaled(scale).Generate(cores, 64, seed)}, nil
+	return &workload{tr: profiles[0].Scaled(scale).Generate(cores, 64, seed)}, nil
 }
 
 // parseTimers parses -timers for n cores; without it every core gets a

@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"encoding/json"
 	"io"
 	"os"
 	"path/filepath"
@@ -10,6 +11,7 @@ import (
 
 	"cohort"
 	"cohort/internal/cliutil"
+	"cohort/internal/obs"
 )
 
 // writeTraces writes one small generated trace to dir in the text and the
@@ -90,6 +92,12 @@ func TestRunRejectsBadInput(t *testing.T) {
 		{"crit without pendulum", []string{"-crit", "1,1,0,0"}, 2, "-crit"},
 		{"crit with pcc", []string{"-system", "pcc", "-crit", "1,0,0,0"}, 2, "-crit"},
 		{"zero scale", []string{"-scale", "0"}, 2, "-scale"},
+		{"NaN scale", []string{"-scale", "NaN"}, 2, "-scale: scale NaN is not finite and positive"},
+		{"infinite scale", []string{"-scale", "+Inf"}, 2, "-scale: scale +Inf is not finite and positive"},
+		{"overflowing scale", []string{"-scale", "1e30"}, 2, "-scale: scale 1e+30 overflows fft's access count"},
+		{"footprint past its region", []string{"-bench", "ocean", "-scale", "2000"}, 2, "-scale: scale 2000 gives ocean 1280000 private lines"},
+		{"levels above the maximum", []string{"-levels", "16"}, 2, "-levels must be in [1, 15], got 16"},
+		{"huge levels", []string{"-levels", "1000000000"}, 2, "-levels must be in [1, 15]"},
 		{"unknown system", []string{"-system", "mesif"}, 2, "-system"},
 		{"timer count", []string{"-timers", "300,20"}, 2, "-timers"},
 		{"timer above range", []string{"-timers", "300,20,20,70000"}, 2, "-timers: timer 70000 outside [-1, 65535]"},
@@ -97,6 +105,7 @@ func TestRunRejectsBadInput(t *testing.T) {
 		{"bad switch", []string{"-levels", "2", "-switch", "100"}, 2, "-switch"},
 		{"switch mode out of range", []string{"-levels", "2", "-switch", "100:3"}, 2, "-switch"},
 		{"undefined flag", []string{"-nosuchflag"}, 2, "-nosuchflag"},
+		{"removed listen flag", []string{"-listen", ":0"}, 2, "-listen"},
 		{"missing file", []string{"-trace", filepath.Join(dir, "missing.ctrb")}, 1, "missing.ctrb"},
 		{"truncated binary trace", []string{"-trace", truncated}, 1, "unexpected EOF"},
 		{"binary trace cut in the last core", []string{"-trace", cutLast}, 1, "core 3 access"},
@@ -138,6 +147,103 @@ func TestTraceFormatsPrintSameReport(t *testing.T) {
 	}
 	if !strings.HasPrefix(binOut, "workload radix on cohort (4 cores") {
 		t.Fatalf("unexpected report:\n%s", binOut)
+	}
+}
+
+// TestArtifactsLeaveStdoutAlone runs one platform plain and with every
+// artifact flag: -vcd, -chrome, -out-dir and -attr. The report on stdout
+// must not change, stderr must hold exactly one "wrote …" line per
+// artifact, and each file must load. A third run, -out-dir without -attr,
+// pins that the attribution metrics enter the manifest only on request.
+func TestArtifactsLeaveStdoutAlone(t *testing.T) {
+	base := []string{"-bench", "fft", "-scale", "0.01", "-timers", "300,20,20,20"}
+	sim := func(extra ...string) (stdout, stderr string) {
+		t.Helper()
+		var out, errOut bytes.Buffer
+		if got := run(append(append([]string{}, base...), extra...), &out, &errOut); got != 0 {
+			t.Fatalf("%v: exit %d; stderr:\n%s", extra, got, errOut.String())
+		}
+		return out.String(), errOut.String()
+	}
+	manifest := func(dir string) (*obs.Manifest, string) {
+		t.Helper()
+		ms, err := obs.LoadDir(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		paths, err := filepath.Glob(filepath.Join(dir, "*.manifest.json"))
+		if err != nil || len(ms) != 1 || len(paths) != 1 {
+			t.Fatalf("%s: want one manifest, got %d (%v, err %v)", dir, len(ms), paths, err)
+		}
+		return ms[0], paths[0]
+	}
+	attrMetrics := func(m *obs.Manifest) int {
+		n := 0
+		for _, mt := range m.Metrics {
+			if strings.HasPrefix(mt.Name, "sim_core_attr_") {
+				n++
+			}
+		}
+		return n
+	}
+
+	plainOut, plainErr := sim()
+	if plainErr != "" {
+		t.Errorf("plain run wrote stderr:\n%s", plainErr)
+	}
+
+	dir := t.TempDir()
+	vcdPath, chromePath, outDir := filepath.Join(dir, "run.vcd"), filepath.Join(dir, "run.json"), filepath.Join(dir, "out")
+	fullOut, fullErr := sim("-vcd", vcdPath, "-chrome", chromePath, "-out-dir", outDir, "-attr")
+	if fullOut != plainOut {
+		t.Errorf("artifact flags changed stdout:\n--- plain\n%s--- with artifacts\n%s", plainOut, fullOut)
+	}
+	m, manPath := manifest(outDir)
+	want := "wrote waveform to " + vcdPath + "\n" +
+		"wrote chrome trace to " + chromePath + " (load at ui.perfetto.dev)\n" +
+		"wrote manifest to " + manPath + "\n"
+	if fullErr != want {
+		t.Errorf("stderr:\n%s\nwant:\n%s", fullErr, want)
+	}
+	vcd, err := os.ReadFile(vcdPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.HasPrefix(vcd, []byte("$timescale 1ns $end\n")) {
+		t.Errorf("VCD does not begin with its timescale:\n%.200s", vcd)
+	}
+	raw, err := os.ReadFile(chromePath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var chrome struct {
+		TraceEvents []obs.Event `json:"traceEvents"`
+	}
+	if err := json.Unmarshal(raw, &chrome); err != nil {
+		t.Fatalf("chrome trace does not parse: %v", err)
+	}
+	broadcast := false
+	for _, ev := range chrome.TraceEvents {
+		broadcast = broadcast || ev.Name == "broadcast" && ev.Ph == "X"
+	}
+	if !broadcast {
+		t.Errorf("chrome trace holds no broadcast span among %d events", len(chrome.TraceEvents))
+	}
+	if m.Tool != "cohort-sim" || attrMetrics(m) == 0 {
+		t.Errorf("manifest of tool %q carries %d sim_core_attr_* metrics; want cohort-sim and some", m.Tool, attrMetrics(m))
+	}
+
+	bareDir := filepath.Join(dir, "bare")
+	bareOut, bareErr := sim("-out-dir", bareDir)
+	bare, barePath := manifest(bareDir)
+	if bareOut != plainOut {
+		t.Errorf("-out-dir changed stdout:\n%s", bareOut)
+	}
+	if want := "wrote manifest to " + barePath + "\n"; bareErr != want {
+		t.Errorf("stderr:\n%s\nwant:\n%s", bareErr, want)
+	}
+	if n := attrMetrics(bare); n != 0 {
+		t.Errorf("manifest without -attr carries %d sim_core_attr_* metrics", n)
 	}
 }
 

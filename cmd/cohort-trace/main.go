@@ -52,8 +52,19 @@ func generate(args []string, stdout, stderr io.Writer) error {
 		return cliutil.Usagef("-cores must be in [1, %d], got %d", cohort.MaxCores, *cores)
 	case *line < 1 || bits.OnesCount(uint(*line)) != 1:
 		return cliutil.Usagef("-line must be a positive power of two, got %d", *line)
-	case *scale <= 0:
-		return cliutil.Usagef("-scale must be positive, got %v", *scale)
+	}
+	// -list generates nothing, so -bench and the footprint half of the
+	// -scale check apply only without it.
+	var profiles []cohort.Profile
+	if !*list {
+		p, err := cohort.ProfileByName(*bench)
+		if err != nil {
+			return cliutil.Usagef("-bench: %v", err)
+		}
+		profiles = append(profiles, p)
+	}
+	if err := cohort.CheckScale(*scale, *line, profiles...); err != nil {
+		return cliutil.Usagef("-scale: %v", err)
 	}
 
 	if *list {
@@ -64,11 +75,7 @@ func generate(args []string, stdout, stderr io.Writer) error {
 		return nil
 	}
 
-	p, err := cohort.ProfileByName(*bench)
-	if err != nil {
-		return cliutil.Usagef("-bench: %v", err)
-	}
-	tr := p.Scaled(*scale).Generate(*cores, *line, *seed)
+	tr := profiles[0].Scaled(*scale).Generate(*cores, *line, *seed)
 
 	if *summary {
 		fmt.Fprint(stdout, cohort.SummarizeTrace(tr, *line))

@@ -28,6 +28,10 @@ func TestRunRejectsBadDimensions(t *testing.T) {
 		{"negative line", []string{"-line", "-64"}, "-line"},
 		{"zero scale", []string{"-scale", "0"}, "-scale"},
 		{"negative scale", []string{"-scale", "-1"}, "-scale"},
+		{"NaN scale", []string{"-scale", "NaN"}, "-scale: scale NaN is not finite and positive"},
+		{"infinite scale", []string{"-scale", "+Inf"}, "-scale: scale +Inf is not finite and positive"},
+		{"overflowing scale", []string{"-scale", "1e30"}, "-scale: scale 1e+30 overflows fft's access count"},
+		{"footprint past its region at the line size", []string{"-scale", "2000", "-line", "128"}, "-scale: scale 2000 gives fft 640000 private lines, more than the 524288 its region holds at 128-byte lines"},
 		{"unknown profile", []string{"-bench", "nosuch"}, "nosuch"},
 	}
 	for _, tt := range tests {

@@ -87,6 +87,9 @@ const (
 
 	// MaxCores is the most cores a platform may have.
 	MaxCores = config.MaxCores
+	// MaxLevels is the most criticality levels (operating modes) a
+	// platform may have.
+	MaxLevels = config.MaxLevels
 
 	ArbiterRROF = config.ArbiterRROF
 	ArbiterRR   = config.ArbiterRR
@@ -157,6 +160,12 @@ func ProfileByName(name string) (Profile, error) { return trace.ProfileByName(na
 
 // ProfileNames lists the suite in order.
 func ProfileNames() []string { return trace.ProfileNames() }
+
+// CheckScale reports whether every profile in ps, scaled by f, generates a
+// well-formed trace at lineBytes-byte lines (see trace.CheckScale).
+func CheckScale(f float64, lineBytes int, ps ...Profile) error {
+	return trace.CheckScale(f, lineBytes, ps...)
+}
 
 // ParseTrace decodes a trace from its text encoding.
 func ParseTrace(r io.Reader) (*Trace, error) { return trace.Parse(r) }

@@ -1,9 +1,10 @@
 // Package cliutil unifies the flag surface and runtime plumbing the cohort
-// CLIs share: the worker count (-j), artifact output (-out-dir), profiling (-cpuprofile, -memprofile), and the observability
-// additions — the opt-in debug server (-listen) and the structured logger
-// (-log-level, -log-json). Before this package each tool declared and wired
-// its own copies; now a tool registers one Common and gets identical flag
-// names, help strings and semantics.
+// CLIs share: the worker count (-j), artifact output (-out-dir), profiling
+// (-cpuprofile, -memprofile), the timer-list parser, and the exit status a
+// rejected flag maps to. A tool registers one Common and gets identical
+// flag names, help strings and semantics. Every diagnostic a tool prints
+// goes to its stderr writer with fmt; observation is post-hoc, through the
+// -out-dir artifacts.
 package cliutil
 
 import (
@@ -18,7 +19,6 @@ import (
 	"strings"
 
 	"cohort/internal/config"
-	"cohort/internal/obs"
 )
 
 // Common holds the shared flag values of one CLI invocation. Register the
@@ -29,11 +29,8 @@ type Common struct {
 	// Work flags (RegisterWork).
 	Jobs int
 
-	// Observability flags (RegisterObs).
-	OutDir   string
-	Listen   string
-	LogLevel string
-	LogJSON  bool
+	// Artifact flag (RegisterObs).
+	OutDir string
 
 	// Profiling flags (RegisterProfile).
 	CPUProfile string
@@ -51,13 +48,9 @@ func (c *Common) RegisterWork(fs *flag.FlagSet) {
 	fs.IntVar(&c.Jobs, "j", 0, "evaluation workers (1 = serial, <1 = NumCPU); output is identical for every value")
 }
 
-// RegisterObs installs the observability flags: -out-dir, -listen,
-// -log-level and -log-json.
+// RegisterObs installs the artifact flag -out-dir.
 func (c *Common) RegisterObs(fs *flag.FlagSet) {
 	fs.StringVar(&c.OutDir, "out-dir", "", "write a run manifest (and tool-specific artifacts) into this directory")
-	fs.StringVar(&c.Listen, "listen", "", "serve /metrics, /runs, /healthz and /debug/pprof/ on this address (e.g. :8723) for the lifetime of the run")
-	fs.StringVar(&c.LogLevel, "log-level", "info", "log threshold: debug, info, warn, error or off")
-	fs.BoolVar(&c.LogJSON, "log-json", false, "emit structured JSON log lines instead of plain text")
 }
 
 // RegisterProfile installs the profiling flags: -cpuprofile and
@@ -67,38 +60,12 @@ func (c *Common) RegisterProfile(fs *flag.FlagSet) {
 	fs.StringVar(&c.MemProfile, "memprofile", "", "write a heap profile to this file on exit")
 }
 
-// Logger builds the tool's logger from -log-level/-log-json, writing to w
-// (the tools pass os.Stderr). In text mode at the default level the output
-// is byte-for-byte what the pre-logger fmt.Fprintf call sites produced.
-func (c *Common) Logger(w io.Writer, clk obs.Clock) (*obs.Logger, error) {
-	level, err := obs.ParseLogLevel(c.LogLevel)
-	if err != nil {
-		return nil, err
-	}
-	return obs.NewLogger(w, level, c.LogJSON, c.Tool, clk), nil
-}
-
-// StartServer starts the debug server when -listen is set; without the
-// flag it returns (nil, nil) and the nil *DebugServer's Close is a no-op.
-// The bound address is logged so ":0" runs are scrapeable.
-func (c *Common) StartServer(reg *obs.Registry, tracker *obs.RunTracker, log *obs.Logger) (*obs.DebugServer, error) {
-	if c.Listen == "" {
-		return nil, nil
-	}
-	srv, err := obs.StartDebugServer(c.Listen, reg, tracker)
-	if err != nil {
-		return nil, err
-	}
-	log.Infof("%s: serving /metrics, /runs, /healthz, /debug/pprof/ on http://%s", c.Tool, srv.Addr())
-	return srv, nil
-}
-
 // StartProfiles starts the CPU profile when -cpuprofile is set and returns
 // a stop function that finishes it and writes the heap profile when
 // -memprofile is set. The stop function is never nil; defer it
-// unconditionally. Heap-profile failures are logged, not fatal — the run's
-// results are already out by then.
-func (c *Common) StartProfiles(log *obs.Logger) (func(), error) {
+// unconditionally. Heap-profile failures are printed to stderr, not fatal —
+// the run's results are already out by then.
+func (c *Common) StartProfiles(stderr io.Writer) (func(), error) {
 	var cpuFile *os.File
 	if c.CPUProfile != "" {
 		f, err := os.Create(c.CPUProfile)
@@ -121,13 +88,13 @@ func (c *Common) StartProfiles(log *obs.Logger) (func(), error) {
 		}
 		f, err := os.Create(c.MemProfile)
 		if err != nil {
-			log.Errorf("%s: memprofile: %v", c.Tool, err)
+			fmt.Fprintf(stderr, "%s: memprofile: %v\n", c.Tool, err)
 			return
 		}
 		defer f.Close()
 		runtime.GC()
 		if err := pprof.WriteHeapProfile(f); err != nil {
-			log.Errorf("%s: memprofile: %v", c.Tool, err)
+			fmt.Fprintf(stderr, "%s: memprofile: %v\n", c.Tool, err)
 		}
 	}, nil
 }

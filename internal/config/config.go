@@ -278,6 +278,12 @@ type System struct {
 // directory's per-line sharer and requester bitmasks.
 const MaxCores = 64
 
+// MaxLevels is the most criticality levels (and so operating modes) a
+// system may have. The paper sizes the Mode-Switch LUT for five levels;
+// fifteen keeps every mode a 4-bit value, the width of the waveform dump's
+// mode signal.
+const MaxLevels = 15
+
 // N returns the number of cores.
 func (s *System) N() int { return len(s.Cores) }
 
@@ -312,8 +318,8 @@ func (s *System) Validate() error {
 	if len(s.Cores) > MaxCores {
 		return fail("%d cores, at most %d", len(s.Cores), MaxCores)
 	}
-	if s.Levels < 1 {
-		return fail("levels must be ≥ 1, got %d", s.Levels)
+	if s.Levels < 1 || s.Levels > MaxLevels {
+		return fail("levels %d out of range [1,%d]", s.Levels, MaxLevels)
 	}
 	if s.Mode < 1 || s.Mode > s.Levels {
 		return fail("mode %d out of range [1,%d]", s.Mode, s.Levels)

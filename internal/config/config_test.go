@@ -94,6 +94,7 @@ func TestValidationFailures(t *testing.T) {
 		{"no cores", func(s *System) { s.Cores = nil }, "no cores"},
 		{"bad mode", func(s *System) { s.Mode = 4 }, "mode"},
 		{"bad levels", func(s *System) { s.Levels = 0 }, "levels"},
+		{"too many levels", func(s *System) { s.Levels = MaxLevels + 1 }, "levels 16 out of range [1,15]"},
 		{"bad criticality", func(s *System) { s.Cores[0].Criticality = 9 }, "criticality"},
 		{"short lut", func(s *System) { s.Cores[1].TimerLUT = s.Cores[1].TimerLUT[:1] }, "LUT"},
 		{"bad timer", func(s *System) { s.Cores[2].TimerLUT[0] = -7 }, "timer"},
@@ -117,6 +118,18 @@ func TestValidationFailures(t *testing.T) {
 		if !strings.Contains(err.Error(), c.substr) {
 			t.Errorf("%s: error %q missing %q", c.name, err, c.substr)
 		}
+	}
+}
+
+// TestMaxLevels pins the level bound: MaxLevels levels validate, and every
+// mode up to MaxLevels fits the waveform dump's 4-bit mode signal.
+func TestMaxLevels(t *testing.T) {
+	if err := PaperDefaults(2, MaxLevels).Validate(); err != nil {
+		t.Fatalf("%d levels: %v", MaxLevels, err)
+	}
+	err := PaperDefaults(2, MaxLevels+1).Validate()
+	if !errors.Is(err, ErrInvalid) || !strings.Contains(err.Error(), "out of range [1,15]") {
+		t.Fatalf("%d levels: err = %v, want ErrInvalid naming the bound", MaxLevels+1, err)
 	}
 }
 

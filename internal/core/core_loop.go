@@ -104,7 +104,6 @@ func (s *System) completeHit(c *coreState, a trace.Access, entry *cache.Entry, n
 		entry.Version = li.Version
 	}
 	s.run.Cores[c.id].RecordAccess(true, s.cfg.Lat.Hit)
-	s.noteProgress(now)
 	if done > c.maxCompletion {
 		c.maxCompletion = done
 	}
@@ -174,7 +173,6 @@ func (s *System) completeMiss(c *coreState, m *missState, st cache.State, now in
 	transfer := lat - arb - timer - m.dramPenalty
 	s.run.Cores[c.id].RecordAccess(false, lat)
 	s.run.Cores[c.id].Attr.Record(arb, timer, transfer, m.dramPenalty)
-	s.noteProgress(now)
 	s.emit(TraceEvent{Cycle: now, Kind: EvMissEnd, Core: c.id, Line: m.line})
 	if now > c.maxCompletion {
 		c.maxCompletion = now

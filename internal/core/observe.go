@@ -131,39 +131,6 @@ func (s *System) RegisterAttribution(reg *obs.Registry) error {
 	return nil
 }
 
-// SetProgress attaches a live-progress handle (obs.RunTracker): the system
-// bumps the handle's event and cycle counters as accesses complete, batched
-// progressBatch at a time so the steady-state hot-path cost is one plain
-// integer increment and one branch per access — no allocation, no lock.
-// Samples of the handle are wall-clock-dependent and never feed canonical
-// output. Must be called before Run; passing nil is a no-op.
-func (s *System) SetProgress(h *obs.RunHandle) error {
-	if s.ran {
-		return errors.New("core: SetProgress after Run")
-	}
-	if h == nil {
-		return nil
-	}
-	s.progress = h
-	return nil
-}
-
-// noteProgress accounts one completed access, flushing the batch to the
-// handle's atomics every progressBatch completions. now is nondecreasing
-// across calls (the event loop dispatches in cycle order).
-func (s *System) noteProgress(now int64) {
-	if s.progress == nil {
-		return
-	}
-	s.progressEvents++
-	if s.progressEvents >= progressBatch {
-		s.progress.AddEvents(s.progressEvents)
-		s.progress.AddCycles(now - s.progressCycle)
-		s.progressEvents = 0
-		s.progressCycle = now
-	}
-}
-
 // SetRecorder attaches a span/event recorder: bus occupancy spans
 // (broadcast and data phases), per-core miss intervals, timer-protection
 // windows, and invalidation and mode-switch instants become Chrome trace

@@ -106,19 +106,7 @@ type System struct {
 	missStart         []int64 // per-core miss-start cycle for recorder spans
 	timerWindows      obs.Counter
 	timerWindowCycles obs.Counter
-
-	// Live-progress handle (obs.RunTracker). Updates are batched through
-	// plain integer fields so the steady-state cost with a handle attached is
-	// one increment and one branch per completed access; the atomics are
-	// touched once per progressBatch completions and once at the end of Run.
-	progress       *obs.RunHandle
-	progressEvents int64 // completions since the last flush
-	progressCycle  int64 // simulated cycle at the last flush
 }
-
-// progressBatch is how many access completions accumulate locally before
-// being flushed to the progress handle's atomics.
-const progressBatch = 1024
 
 type scheduledSwitch struct {
 	at   int64
@@ -346,16 +334,6 @@ func (s *System) Run() (*stats.Run, error) {
 		if c.maxCompletion > s.run.Cycles {
 			s.run.Cycles = c.maxCompletion
 		}
-	}
-	// Flush the batched progress remainder so a sampler sees exact final
-	// totals even before the run is unregistered.
-	if s.progress != nil {
-		s.progress.AddEvents(s.progressEvents)
-		if d := s.run.Cycles - s.progressCycle; d > 0 {
-			s.progress.AddCycles(d)
-		}
-		s.progressEvents = 0
-		s.progressCycle = s.run.Cycles
 	}
 	return s.run, nil
 }

@@ -13,7 +13,7 @@ import (
 // AttributionRow is one (benchmark, system, core) cell of the WCML latency
 // attribution: the core's total memory latency decomposed into hit service,
 // arbitration wait, timer-protection stall, bus transfer and DRAM fetch
-// (stats.Attribution, DESIGN.md §15). The components sum exactly to
+// (stats.Attribution, DESIGN.md §10). The components sum exactly to
 // TotalLatency.
 type AttributionRow struct {
 	Benchmark string

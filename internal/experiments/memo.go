@@ -144,10 +144,8 @@ func optimizeTimers(o *Options, tr *trace.Trace, critical []bool) (*opt.Result, 
 	o.GA.AppendKey(k)
 	key := k.Sum()
 	if r, ok := optMemo.Get(key); ok {
-		progress().AddMemoHits(1)
 		return r, nil
 	}
-	progress().AddMemoMisses(1)
 
 	cfg := config.PaperDefaults(o.NCores, 1)
 	prob := &opt.Problem{
@@ -156,15 +154,11 @@ func optimizeTimers(o *Options, tr *trace.Trace, critical []bool) (*opt.Result, 
 		Streams: tr.Streams,
 		Timed:   critical,
 	}
-	// Strip the deterministic observability hooks before the memoized call:
-	// a cache hit skips Optimize entirely, so anything it published would
-	// depend on memo state and racing cells. The harness publishes post-hoc
-	// instead. The live-progress handle is attached, not stripped — it feeds
-	// only the pull-sampled RunTracker, which is scheduling-dependent by
-	// contract.
+	// Strip the observability hooks before the memoized call: a cache hit
+	// skips Optimize entirely, so anything it published would depend on
+	// memo state and racing cells. The harness publishes post-hoc instead.
 	ga := o.GA
 	ga.Metrics, ga.Recorder = nil, nil
-	ga.Progress = progress()
 	r, err := opt.Optimize(prob, ga)
 	if err != nil {
 		return nil, err
@@ -184,18 +178,11 @@ func runSystem(cfg *config.System, tr *trace.Trace) (*stats.Run, error) {
 	}
 	key := parallel.NewKey("experiments/run").Bytes(cfgJSON).Str(traceFingerprint(tr)).Sum()
 	if run, ok := runMemo.Get(key); ok {
-		progress().AddMemoHits(1)
 		return run, nil
 	}
-	progress().AddMemoMisses(1)
 
 	sys, err := core.New(cfg, tr)
 	if err != nil {
-		return nil, err
-	}
-	// Thread the live-progress handle into the fresh simulation so the
-	// tracker sees events/cycles advance while the run is in flight.
-	if err := sys.SetProgress(progress()); err != nil {
 		return nil, err
 	}
 	run, err := sys.Run()

@@ -24,17 +24,13 @@ import (
 func (o *Options) observeFigure(name string, cells int, publish func(reg *obs.Registry, lbl obs.Label)) {
 	var seq int64
 	if o.Metrics != nil {
-		// Published under Sync: with -listen the registry is scraped live by
-		// the debug server, and Sync is the registry's publish/read fence.
-		o.Metrics.Sync(func() {
-			ctr := o.Metrics.Counter("experiments_figures_total")
-			ctr.Inc()
-			seq = ctr.Value() - 1
-			o.Metrics.Counter("experiments_cells_total").Add(int64(cells))
-			if publish != nil {
-				publish(o.Metrics, obs.L("figure", name))
-			}
-		})
+		ctr := o.Metrics.Counter("experiments_figures_total")
+		ctr.Inc()
+		seq = ctr.Value() - 1
+		o.Metrics.Counter("experiments_cells_total").Add(int64(cells))
+		if publish != nil {
+			publish(o.Metrics, obs.L("figure", name))
+		}
 	}
 	if o.Recorder != nil {
 		// Timestamps are logical figure sequence numbers (0 without a

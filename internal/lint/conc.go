@@ -87,7 +87,7 @@ func lockClass(info *types.Info, recv ast.Expr) (types.Object, string) {
 			return nil, ""
 		}
 		// Qualify the field by the type of the expression it is selected
-		// from: "Registry.valMu", not a bare "valMu".
+		// from: "Registry.mu", not a bare "mu".
 		base := info.TypeOf(x.X)
 		for base != nil {
 			if p, ok := base.(*types.Pointer); ok {

@@ -14,7 +14,7 @@ import (
 // -race` only catches when the losing interleaving actually executes.
 //
 // Locks are identified by class (the field or variable object), like the
-// kernel's lockdep: every instance of Registry.valMu is one class. An edge
+// kernel's lockdep: every instance of Registry.mu is one class. An edge
 // A→B is recorded when B is acquired — directly or through any statically
 // resolvable call chain — while A is held. Holds are tracked by a linear
 // source-order walk per function: Lock adds a hold, a matching non-deferred
@@ -28,10 +28,8 @@ import (
 //
 // Approximations inherited from the CHA graph (DESIGN.md §16): calls through
 // function values produce no edges, so a callback invoked under a lock is
-// not traversed (Registry.Sync's valMu→fn()→mu nesting is the documented
-// instance — guarded by contract comments and the race gate instead), and
-// branch structure is flattened into source order, which over-approximates
-// held sets across early returns.
+// not traversed, and branch structure is flattened into source order, which
+// over-approximates held sets across early returns.
 var LockOrderAnalyzer = &Analyzer{
 	Name: "lockorder",
 	Doc: "derive the global mutex-acquisition order graph over the whole-program " +

@@ -62,7 +62,7 @@ func CaptureHost() *HostInfo {
 }
 
 // AttributionRow is one core's miss-latency decomposition under one system
-// on one benchmark (stats.Attribution, DESIGN.md §15). The components plus
+// on one benchmark (stats.Attribution, DESIGN.md §10). The components plus
 // the hit cycles sum exactly to the core's total memory latency — Validate
 // enforces the identity, so a manifest can never carry an inconsistent
 // decomposition.

@@ -55,33 +55,11 @@ func (e *entry) ownedGauge() (*Gauge, bool) {
 // A nil *Registry is valid: handle constructors return detached metrics and
 // Register* calls are no-ops, so callers never need nil checks.
 //
-// Snapshots and the Prometheus exporter read metric values under a separate
-// publication lock (valMu) that publishers take via Sync, so a live scrape
-// (the debug server's /metrics) and a coordinator publishing post-hoc
-// values never race. Code that only ever snapshots after the run — the
-// pre-existing manifest path — needs no Sync.
+// Registration is safe for concurrent use; values are read when the
+// registry is snapshotted, after the observed run.
 type Registry struct {
 	mu      sync.Mutex
 	entries map[string]*entry
-	// valMu serializes value reads (Snapshot, WriteProm) against value
-	// writes published through Sync. Kept apart from mu so Sync callbacks
-	// may call the handle constructors and Register* methods freely.
-	valMu sync.Mutex
-}
-
-// Sync runs fn under the registry's publication lock: a concurrent Snapshot
-// or WriteProm observes either none or all of fn's metric writes. fn may
-// create and register metrics but must not call Snapshot or WriteProm
-// itself. On a nil registry fn runs without locking (there is nothing to
-// scrape).
-func (r *Registry) Sync(fn func()) {
-	if r == nil {
-		fn()
-		return
-	}
-	r.valMu.Lock()
-	defer r.valMu.Unlock()
-	fn()
 }
 
 // NewRegistry returns an empty registry.
@@ -261,8 +239,6 @@ func (r *Registry) Snapshot() Snapshot {
 	}
 	r.mu.Unlock()
 
-	r.valMu.Lock()
-	defer r.valMu.Unlock()
 	snap := make(Snapshot, 0, len(entries))
 	for _, e := range entries {
 		m := Metric{Name: e.name, Labels: e.labels, Kind: e.kind}

@@ -5,7 +5,6 @@ import (
 	"math"
 
 	"cohort/internal/config"
-	"cohort/internal/obs"
 	"cohort/internal/trace"
 )
 
@@ -21,10 +20,6 @@ type HCConfig struct {
 	// anything below 1 selects runtime.NumCPU(). The Result is byte-identical
 	// for every value.
 	Workers int
-	// Progress, when non-nil, receives live pull-sampled progress with the
-	// same semantics as GAConfig.Progress; restarts are reported as
-	// generations. Purely observational.
-	Progress *obs.RunHandle
 }
 
 // DefaultHC returns the parameters used by the optimizer ablation.
@@ -71,8 +66,7 @@ func hillClimb(p *Problem, hc HCConfig) (*Result, *evaluator, error) {
 		res.Evaluations = 1
 		return res, nil, nil
 	}
-	oracle := newEvaluator(p, hc.Workers, hc.Progress)
-	hc.Progress.SetGenerations(int64(hc.Restarts))
+	oracle := newEvaluator(p, hc.Workers)
 	res.ThetaIS = thetaIS(p, oracle.sets, oracle.plans, hc.Workers)
 
 	rng := trace.NewRNG(hc.Seed ^ 0x6863) // "hc"
@@ -141,7 +135,6 @@ func hillClimb(p *Problem, hc HCConfig) (*Result, *evaluator, error) {
 			genes, cur, curFit = neighbors[bestN], evs[bestN], bestNFit
 		}
 		res.BestHistory = append(res.BestHistory, curFit)
-		hc.Progress.SetGeneration(int64(r + 1))
 		if curFit < bestFit {
 			bestFit, bestGenes, bestEval = curFit, genes, cur
 		}

@@ -262,13 +262,9 @@ type evaluator struct {
 	// deduped within each batch); replays counts the regime replays the
 	// evaluations needed.
 	computed, replays int
-	// progress, when non-nil, receives live memo-hit/miss and replay counts
-	// (obs.RunTracker). Bumped only on the serial coordinator goroutine,
-	// after parallel sections merge.
-	progress *obs.RunHandle
 }
 
-func newEvaluator(p *Problem, workers int, progress *obs.RunHandle) *evaluator {
+func newEvaluator(p *Problem, workers int) *evaluator {
 	return &evaluator{
 		p:         p,
 		c:         p.compile(),
@@ -276,7 +272,6 @@ func newEvaluator(p *Problem, workers int, progress *obs.RunHandle) *evaluator {
 		sets:      regimeSets(p),
 		plans:     newPlans(p),
 		evalCache: make(map[string]Evaluation, 256),
-		progress:  progress,
 	}
 }
 
@@ -327,7 +322,6 @@ func (e *evaluator) batch(genomes [][]config.Timer) []Evaluation {
 	slot := make([]int, len(genomes))
 	var jobs [][]config.Timer
 	var jobKeys []string
-	var cached int64
 	queued := make(map[string]int, len(genomes))
 	for i, g := range genomes {
 		// Probe with the scratch buffer; map access through string(buf) does
@@ -337,7 +331,6 @@ func (e *evaluator) batch(genomes [][]config.Timer) []Evaluation {
 		if v, ok := e.evalCache[string(e.keyBuf)]; ok {
 			out[i], slot[i] = v, -1
 			e.cacheHits++
-			cached++
 			continue
 		}
 		e.cacheMisses++
@@ -356,7 +349,6 @@ func (e *evaluator) batch(genomes [][]config.Timer) []Evaluation {
 	// arithmetic in a fixed per-core order, identical for every worker count.
 	replays := resolve(e.p, e.sets, e.plans, jobs, e.workers)
 	e.replays += replays
-	e.progress.AddReplays(int64(replays))
 	results := make([]Evaluation, len(jobs))
 	for j := range jobs {
 		results[j] = e.c.evaluateOwned(jobs[j], e.sets)
@@ -365,8 +357,6 @@ func (e *evaluator) batch(genomes [][]config.Timer) []Evaluation {
 		e.evalCache[jobKeys[j]] = results[j]
 	}
 	e.computed += len(jobs)
-	e.progress.AddMemoHits(cached)
-	e.progress.AddMemoMisses(int64(len(jobs)))
 	for i := range genomes {
 		if slot[i] >= 0 {
 			out[i] = results[slot[i]]
@@ -406,20 +396,12 @@ type GAConfig struct {
 	// (timestamped by generation index under obs.PidOpt). Purely
 	// observational, like Metrics.
 	Recorder *obs.Recorder
-	// Progress, when non-nil, receives live pull-sampled progress: the
-	// planned and completed generation counts, memo-cache hits/misses, and
-	// completed oracle replays (obs.RunTracker). Purely observational,
-	// like Metrics: samples are scheduling-dependent and never affect the
-	// Result. Unlike Metrics and Recorder it survives the experiment
-	// harness's memoization strip — live progress is allowed to depend on
-	// memo state, canonical output is not.
-	Progress *obs.RunHandle
 }
 
 // AppendKey appends the seven fields that determine a Result to k, in a
 // fixed order, for the config and memo keys built around an optimization.
-// Workers, Metrics, Recorder and Progress are left out: they never change
-// the Result, so runs that differ only in them share a key.
+// Workers, Metrics and Recorder are left out: they never change the
+// Result, so runs that differ only in them share a key.
 func (gc GAConfig) AppendKey(k *parallel.Key) {
 	k.Int(gc.Pop).Int(gc.Generations).Int(gc.Elite).Int(gc.TournamentK)
 	k.Float64(gc.CrossoverProb).Float64(gc.MutationProb).Uint64(gc.Seed)
@@ -498,8 +480,7 @@ func optimize(p *Problem, gc GAConfig) (*Result, *evaluator, error) {
 		return res, nil, nil
 	}
 
-	oracle := newEvaluator(p, gc.Workers, gc.Progress)
-	gc.Progress.SetGenerations(int64(gc.Generations))
+	oracle := newEvaluator(p, gc.Workers)
 
 	// Per-gene upper bounds: θ_is from the saturation sweep (§V), answered
 	// through the same regime sets the evaluations use.
@@ -633,7 +614,6 @@ func optimize(p *Problem, gc GAConfig) (*Result, *evaluator, error) {
 			}
 		}
 		res.BestHistory = append(res.BestHistory, best.fit)
-		gc.Progress.SetGeneration(int64(gen + 1))
 		if gc.Recorder != nil {
 			gc.Recorder.Complete(obs.PidOpt, 0, fmt.Sprintf("generation %d", gen), "ga",
 				int64(gen), 1, map[string]string{
@@ -659,18 +639,13 @@ func publishMetrics(reg *obs.Registry, res *Result) {
 	if reg == nil {
 		return
 	}
-	// Publish under the registry's Sync lock so a concurrent live scrape
-	// (the debug server's /metrics) sees either none or all of this run's
-	// counters.
-	reg.Sync(func() {
-		reg.Counter("opt_runs_total").Inc()
-		reg.Counter("opt_evaluations_total").Add(int64(res.Evaluations))
-		reg.Counter("opt_engine_jobs_total").Add(res.Engine.Jobs)
-		reg.Counter("opt_engine_cache_hits_total").Add(res.Engine.CacheHits)
-		reg.Counter("opt_engine_cache_misses_total").Add(res.Engine.CacheMisses)
-		reg.Gauge("opt_generations").Set(int64(len(res.BestHistory)))
-		if n := len(res.BestHistory); n > 0 {
-			reg.FloatGauge("opt_best_fitness").Set(res.BestHistory[n-1])
-		}
-	})
+	reg.Counter("opt_runs_total").Inc()
+	reg.Counter("opt_evaluations_total").Add(int64(res.Evaluations))
+	reg.Counter("opt_engine_jobs_total").Add(res.Engine.Jobs)
+	reg.Counter("opt_engine_cache_hits_total").Add(res.Engine.CacheHits)
+	reg.Counter("opt_engine_cache_misses_total").Add(res.Engine.CacheMisses)
+	reg.Gauge("opt_generations").Set(int64(len(res.BestHistory)))
+	if n := len(res.BestHistory); n > 0 {
+		reg.FloatGauge("opt_best_fitness").Set(res.BestHistory[n-1])
+	}
 }

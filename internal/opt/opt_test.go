@@ -236,7 +236,6 @@ func TestGAConfigAppendKey(t *testing.T) {
 		{"Workers", func(g *GAConfig) { g.Workers = 8 }},
 		{"Metrics", func(g *GAConfig) { g.Metrics = obs.NewRegistry() }},
 		{"Recorder", func(g *GAConfig) { g.Recorder = obs.NewRecorder() }},
-		{"Progress", func(g *GAConfig) { g.Progress = obs.NewRunTracker(obs.ManualClock{}).Register("test", "key") }},
 	}
 	if n := reflect.TypeOf(GAConfig{}).NumField(); n != len(moves)+len(keeps) {
 		t.Fatalf("GAConfig has %d fields, the test classifies %d", n, len(moves)+len(keeps))

@@ -90,7 +90,7 @@ func TestEvaluatorCoreMemoDeterministic(t *testing.T) {
 	}
 	run := func(workers int) snapshot {
 		ResetCurveCache()
-		e := newEvaluator(p, workers, nil)
+		e := newEvaluator(p, workers)
 		var evals [][]Evaluation
 		for _, seq := range sequences {
 			evals = append(evals, e.batch(seq))

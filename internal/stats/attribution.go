@@ -1,7 +1,7 @@
 package stats
 
 // Attribution decomposes a core's miss latency into the four places a
-// request's cycles can go (DESIGN.md §15): waiting for the arbiter to grant
+// request's cycles can go (DESIGN.md §10): waiting for the arbiter to grant
 // the bus (broadcast grant plus data grant after the data became available),
 // waiting out timer-protected copies before the data may be handed over,
 // occupying the bus for the broadcast and data transfers themselves, and the

@@ -2,6 +2,7 @@ package trace
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"strings"
 )
@@ -95,8 +96,45 @@ func (p Profile) Scaled(f float64) Profile {
 	return p
 }
 
+// CheckScale reports whether Scaled(f) of every profile in ps is a workload
+// Generate can lay out at lineBytes-byte lines. f must be finite and
+// positive; each scaled access count must fit an int; and each scaled
+// shared and per-core private footprint must fit its address region, which
+// is what keeps the regions from aliasing. With no profiles only f itself
+// is checked. The CLIs call it on -scale before any work.
+func CheckScale(f float64, lineBytes int, ps ...Profile) error {
+	if !(f > 0) || math.IsInf(f, 1) {
+		return fmt.Errorf("scale %v is not finite and positive", f)
+	}
+	if lineBytes < 1 {
+		return fmt.Errorf("line size %d is not positive", lineBytes)
+	}
+	for _, p := range ps {
+		if float64(p.AccessesPerCore)*f >= math.MaxInt {
+			return fmt.Errorf("scale %v overflows %s's access count per core", f, p.Name)
+		}
+		for _, r := range []struct {
+			kind   string
+			lines  int
+			region uint64
+		}{
+			{"shared", p.SharedLines, privateBase - sharedBase},
+			{"private", p.PrivateLines, privateStep},
+		} {
+			// Scaled's floor of eight lines included.
+			n := max(math.Floor(float64(r.lines)*f), 8)
+			if limit := r.region / uint64(lineBytes); n > float64(limit) {
+				return fmt.Errorf("scale %v gives %s %.0f %s lines, more than the %d its region holds at %d-byte lines",
+					f, p.Name, n, r.kind, limit, lineBytes)
+			}
+		}
+	}
+	return nil
+}
+
 // Address-space layout of generated traces. Regions are disjoint and far
-// apart so shared and private lines never alias in any cache geometry.
+// apart so shared and private lines never alias in any cache geometry;
+// CheckScale keeps scaled footprints inside them.
 const (
 	sharedBase  uint64 = 0x1000_0000
 	privateBase uint64 = 0x4000_0000

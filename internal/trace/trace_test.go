@@ -2,6 +2,7 @@ package trace
 
 import (
 	"bytes"
+	"math"
 	"runtime"
 	"strings"
 	"testing"
@@ -189,6 +190,66 @@ func TestAddressRegions(t *testing.T) {
 	// Private regions of different cores must not collide.
 	if PrivateAddr(0, 1<<19, 64) >= PrivateAddr(1, 0, 64) {
 		t.Fatal("core 0 private region overlaps core 1")
+	}
+}
+
+// TestCheckScaleRegionBoundary pins CheckScale at the edge of each address
+// region: the largest footprint a region holds is accepted and one line more
+// is not, at 64-byte lines (1,048,576 private lines per core, 12,582,912
+// shared lines), at 128-byte lines, where each region holds half as many,
+// and at line sizes where even the eight-line floor does not fit. A trace
+// generated at the private boundary keeps every core inside its own region.
+func TestCheckScaleRegionBoundary(t *testing.T) {
+	const privateLimit, sharedLimit = 1 << 20, 3 << 22
+	// Power-of-two line counts and scales keep the products exact.
+	priv := Profile{Name: "priv", AccessesPerCore: 1, SharedLines: 8, PrivateLines: 1 << 10}
+	shared := Profile{Name: "shared", AccessesPerCore: 1, SharedLines: 3 << 12, PrivateLines: 8}
+	cases := []struct {
+		p         Profile
+		f         float64
+		lineBytes int
+		want      string // "" accepts
+	}{
+		{priv, privateLimit >> 10, 64, ""},
+		{priv, privateLimit>>10 + 1.0/(1<<10), 64, "1048577 private lines, more than the 1048576"},
+		{priv, privateLimit >> 11, 128, ""},
+		{priv, privateLimit >> 10, 128, "more than the 524288 its region holds at 128-byte lines"},
+		{shared, sharedLimit / (3 << 12), 64, ""},
+		{shared, sharedLimit/(3<<12) + 1.0/(1<<12), 64, "12582915 shared lines, more than the 12582912"},
+		// Scaled's floor of eight lines counts: 16 MiB lines leave room
+		// for four per core.
+		{priv, 1.0 / (1 << 10), 1 << 23, ""},
+		{priv, 1.0 / (1 << 10), 1 << 24, "8 private lines, more than the 4 its region holds at 16777216-byte lines"},
+		{priv, 1e30, 64, "overflows priv's access count"},
+		{priv, math.NaN(), 64, "not finite and positive"},
+		{priv, math.Inf(1), 64, "not finite and positive"},
+		{priv, 0, 64, "not finite and positive"},
+		{priv, -1, 64, "not finite and positive"},
+	}
+	for _, c := range cases {
+		err := CheckScale(c.f, c.lineBytes, c.p)
+		switch {
+		case c.want == "" && err != nil:
+			t.Errorf("%s at scale %v, %d-byte lines: %v", c.p.Name, c.f, c.lineBytes, err)
+		case c.want != "" && (err == nil || !strings.Contains(err.Error(), c.want)):
+			t.Errorf("%s at scale %v, %d-byte lines: err = %v, want %q", c.p.Name, c.f, c.lineBytes, err, c.want)
+		}
+	}
+	// Every profile fits at the largest committed scale, radix at 40.
+	if err := CheckScale(40, 64, Profiles()...); err != nil {
+		t.Errorf("the suite at scale 40: %v", err)
+	}
+
+	wide := priv.Scaled(privateLimit >> 10)
+	wide.AccessesPerCore = 4000
+	tr := wide.Generate(4, 64, 42)
+	for c, st := range tr.Streams {
+		lo, hi := PrivateAddr(c, 0, 64), PrivateAddr(c, 0, 64)+privateLimit*64
+		for _, a := range st {
+			if !IsShared(a.Addr) && (a.Addr < lo || a.Addr >= hi) {
+				t.Fatalf("core %d touched private address %#x outside its region [%#x, %#x)", c, a.Addr, lo, hi)
+			}
+		}
 	}
 }
 

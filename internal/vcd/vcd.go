@@ -11,8 +11,10 @@ import (
 	"bufio"
 	"fmt"
 	"io"
+	"math/bits"
 	"sort"
 
+	"cohort/internal/config"
 	"cohort/internal/core"
 )
 
@@ -26,7 +28,8 @@ type Signal struct {
 }
 
 // Writer emits a VCD file. Declare all signals with AddSignal, then emit
-// changes in nondecreasing time order and Close.
+// changes in nondecreasing time order and Close. The first failed Change
+// sticks: every later Change and Close returns it.
 type Writer struct {
 	w         *bufio.Writer
 	signals   []*Signal
@@ -80,7 +83,8 @@ func (v *Writer) header() {
 	fmt.Fprintln(v.w, "$enddefinitions $end")
 }
 
-// Change records signal = value at time t. Times must not decrease.
+// Change records signal = value at time t. Times must not decrease, and
+// the value must fit the signal's width.
 func (v *Writer) Change(t int64, s *Signal, value uint64) error {
 	if v.err != nil {
 		return v.err
@@ -88,6 +92,10 @@ func (v *Writer) Change(t int64, s *Signal, value uint64) error {
 	v.header()
 	if t < v.time {
 		v.err = fmt.Errorf("vcd: time moved backwards: %d < %d", t, v.time)
+		return v.err
+	}
+	if bits.Len64(value) > s.width {
+		v.err = fmt.Errorf("vcd: value %d at time %d is wider than the %d-bit signal %q", value, t, s.width, s.name)
 		return v.err
 	}
 	if !s.dirty && s.last == value {
@@ -133,7 +141,7 @@ type event struct {
 // Recorder converts the simulator's trace events into VCD signals:
 //
 //	bus        [2]  idle / broadcast / data
-//	mode       [4]  current operating mode
+//	mode       [4]  current operating mode (wide enough for config.MaxLevels)
 //	core<i>_miss [1] outstanding miss per core
 //	core<i>_inv  [1] pulses on invalidation
 type Recorder struct {
@@ -153,7 +161,7 @@ func NewRecorder(w io.Writer, nCores int) (*Recorder, error) {
 	if r.bus, err = vw.AddSignal("bus", 2); err != nil {
 		return nil, err
 	}
-	if r.mode, err = vw.AddSignal("mode", 4); err != nil {
+	if r.mode, err = vw.AddSignal("mode", bits.Len(config.MaxLevels)); err != nil {
 		return nil, err
 	}
 	for i := 0; i < nCores; i++ {

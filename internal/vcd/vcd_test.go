@@ -70,6 +70,47 @@ func TestWriterRejectsBackwardsTime(t *testing.T) {
 	}
 }
 
+// TestWriterRejectsTooWideValue: a value one bit wider than its signal is
+// an error, not a truncated or malformed dump line, and it sticks until
+// Close. The recorder's mode signal holds every mode up to MaxLevels and
+// nothing wider.
+func TestWriterRejectsTooWideValue(t *testing.T) {
+	var buf bytes.Buffer
+	w := NewWriter(&buf)
+	s, _ := w.AddSignal("state", 4)
+	if err := w.Change(0, s, 15); err != nil {
+		t.Fatal(err)
+	}
+	err := w.Change(1, s, 16)
+	if err == nil || !strings.Contains(err.Error(), `wider than the 4-bit signal "state"`) {
+		t.Fatalf("Change(16) on a 4-bit signal: err = %v", err)
+	}
+	if err := w.Change(2, s, 1); err == nil {
+		t.Fatal("Change after a rejected value must return the sticky error")
+	}
+	if err := w.Close(); err == nil {
+		t.Fatal("Close must surface the sticky error")
+	}
+	if strings.Contains(buf.String(), "b10000") {
+		t.Fatalf("the too-wide value reached the dump:\n%s", buf.String())
+	}
+
+	buf.Reset()
+	rec, err := NewRecorder(&buf, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec.Trace(core.TraceEvent{Cycle: 10, Kind: core.EvModeSwitch, Line: config.MaxLevels})
+	if err := rec.Close(); err != nil {
+		t.Fatalf("mode %d: %v", config.MaxLevels, err)
+	}
+	rec, _ = NewRecorder(&buf, 1)
+	rec.Trace(core.TraceEvent{Cycle: 10, Kind: core.EvModeSwitch, Line: config.MaxLevels + 1})
+	if err := rec.Close(); err == nil {
+		t.Fatalf("mode %d fit the recorder's mode signal", config.MaxLevels+1)
+	}
+}
+
 func TestWriterRejectsLateSignals(t *testing.T) {
 	var buf bytes.Buffer
 	w := NewWriter(&buf)
